@@ -43,8 +43,10 @@ from .geometry import (
     verify_ball_growth,
 )
 from .heat import (
+    FactoredKernel,
     HeatKernelEval,
     apply_heat,
+    factored_kernel,
     fit_gaussian_bounds,
     heat_kernel,
     kernel_to_csv,

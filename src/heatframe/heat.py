@@ -10,6 +10,11 @@ Gauss quadrature space the discrete expansion makes the defining identities
 (unit mass, the semigroup law, eigenfunction action) hold to roundoff, so
 their verifiers double as integrity checks of the discretization.
 
+Checks that read only a few kernel values work on the factored view
+(``factored_kernel``): the basis rows and decay factors themselves, from
+which entries, the diagonal, and the semigroup defect come without the
+N x N table.  The dense table stays for callers that consume all of it.
+
 Two-sided Gaussian envelopes and the space Hoelder exponent are *fitted*
 rather than asserted: the fit reports the constants
 
@@ -29,10 +34,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ._parallel import ordered_map
 from .errors import DomainError, ExactnessError, SamplingError, TruncationWarning
 from .geometry import MetricMeasureSpace, ball_volumes_at_nodes
-from .jacobi import SpectralBasis
+from .jacobi import SpectralBasis, multiplier_table
 from .reporting import VerificationReport, make_report
 
 import warnings
@@ -48,22 +52,71 @@ class HeatKernelEval:
     tail_bound: float
 
 
-def heat_kernel(basis: SpectralBasis, t: float, *, tail_tol: float = 1e-12) -> HeatKernelEval:
-    """Evaluate h_t on all node pairs; warn if the spectral tail is not
-    negligible at this t."""
+def _decay(basis: SpectralBasis, t: float, tail_tol: float) -> np.ndarray:
+    """exp(-beta_i t) over the basis; warns the caller of the kernel builder
+    if the spectral tail is not negligible at this t."""
     if t <= 0.0:
         raise DomainError("time must be positive")
     decay = np.exp(-basis.eigenvalues * t)
-    table = basis.values.T @ (decay[:, None] * basis.values)
-    table = 0.5 * (table + table.T)
     tail = float(decay[-1])
     if tail > tail_tol:
         warnings.warn(
             f"spectral tail exp(-beta_N t) = {tail:.2e} exceeds {tail_tol:.1e} at t = {t}",
             TruncationWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return HeatKernelEval(t=float(t), table=table, truncation_degree=basis.degree, tail_bound=tail)
+    return decay
+
+
+def heat_kernel(basis: SpectralBasis, t: float, *, tail_tol: float = 1e-12) -> HeatKernelEval:
+    """Evaluate h_t on all node pairs; warn if the spectral tail is not
+    negligible at this t."""
+    decay = _decay(basis, t, tail_tol)
+    return HeatKernelEval(
+        t=float(t),
+        table=multiplier_table(basis.values, decay),
+        truncation_degree=basis.degree,
+        tail_bound=float(decay[-1]),
+    )
+
+
+@dataclass(frozen=True)
+class FactoredKernel:
+    """h_t kept as its spectral factors: h_t(x_i, x_j) = sum_k decay_k
+    rows[k, i] rows[k, j].
+
+    Basis rows past the last nonzero decay factor (exp(-beta_k t) underflows
+    to 0) add exact zeros to every sum, so they are dropped.
+    """
+
+    rows: np.ndarray
+    decay: np.ndarray
+
+    def entries(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """h_t(x_i, x_j) for aligned index arrays.
+
+        The values are read from the table on the distinct nodes sampled, at
+        most 2 * pairs of them, built by the same arithmetic as the dense
+        table.  A per-pair dot product would sum in another order, and the
+        Gaussian fits, which regress on samples a few decades above the
+        roundoff floor, would drift with it.
+        """
+        nodes, where = np.unique(np.concatenate([i, j]), return_inverse=True)
+        block = multiplier_table(self.rows[:, nodes], self.decay)
+        return block[where[: len(i)], where[len(i) :]]
+
+    def diagonal(self) -> np.ndarray:
+        """h_t(x, x) at every node.  The kernel is positive semidefinite, so
+        |h_t(x, y)| <= sqrt(h_t(x, x) h_t(y, y)) and the largest |h_t| sits
+        here."""
+        return self.decay @ (self.rows * self.rows)
+
+
+def factored_kernel(basis: SpectralBasis, t: float, *, tail_tol: float = 1e-12) -> FactoredKernel:
+    """The factored view of h_t, with the time and tail checks of heat_kernel."""
+    decay = _decay(basis, t, tail_tol)
+    keep = int(np.flatnonzero(decay).max(initial=-1)) + 1
+    return FactoredKernel(rows=basis.values[:keep], decay=decay[:keep])
 
 
 def apply_heat(space: MetricMeasureSpace, kernel: HeatKernelEval, f: np.ndarray) -> np.ndarray:
@@ -94,13 +147,24 @@ def verify_semigroup(
     s: float,
     tol: float = 1e-7,
 ) -> VerificationReport:
-    """Composition law: integrating h_t against h_s reproduces h_{t+s}."""
-    kt = heat_kernel(basis, t)
-    ks = heat_kernel(basis, s)
-    kts = heat_kernel(basis, t + s)
-    composed = kt.table @ (space.weights[:, None] * ks.table)
-    scale = float(np.abs(kts.table).max())
-    defect = float(np.abs(composed - kts.table).max()) / max(scale, 1e-300)
+    """Composition law: integrating h_t against h_s reproduces h_{t+s}.
+
+    In the basis the law reads D_t G D_s = D_{t+s}, where D are the decay
+    factors and G = (V w) V^T is the Gram matrix of the basis rows under this
+    space's weights, so V^T (D_t G D_s - D_{t+s}) V is the nodal table of the
+    composition defect.  G is formed here from ``space``, so a basis that does
+    not match its space fails the check.
+    """
+    kt = factored_kernel(basis, t)
+    ks = factored_kernel(basis, s)
+    kts = factored_kernel(basis, t + s)
+    gram = (kt.rows * space.weights) @ ks.rows.T
+    coeffs = kt.decay[:, None] * gram * ks.decay
+    diag = np.arange(kts.decay.size)
+    coeffs[diag, diag] -= kts.decay
+    defect_table = kt.rows.T @ (coeffs @ ks.rows)
+    scale = float(kts.diagonal().max())
+    defect = float(np.abs(defect_table).max()) / max(scale, 1e-300)
     return make_report(
         "semigroup",
         defect,
@@ -188,13 +252,13 @@ def fit_gaussian_bounds(
     dists = space.distance_matrix[idx1, idx2]
 
     def cloud_at(t: float) -> tuple[np.ndarray, np.ndarray]:
-        kernel = heat_kernel(basis, t, tail_tol=tail_tol)
+        kernel = factored_kernel(basis, t, tail_tol=tail_tol)
         vols = ball_volumes_at_nodes(space, math.sqrt(t))
-        rho = kernel.table[idx1, idx2] * np.sqrt(vols[idx1] * vols[idx2])
+        rho = kernel.entries(idx1, idx2) * np.sqrt(vols[idx1] * vols[idx2])
         u = dists * dists / t
         return u, rho
 
-    clouds = ordered_map(cloud_at, t_grid)
+    clouds = [cloud_at(t) for t in t_grid]
     u_all = np.concatenate([c[0] for c in clouds])
     rho_all = np.concatenate([c[1] for c in clouds])
     rho_max = float(rho_all.max())
@@ -249,9 +313,10 @@ def verify_holder(
     is the fitted exponent and must come out positive and finite.  The decay
     rate a defaults to the upper Gaussian rate fitted on the same samples.
 
-    Increments whose magnitude falls below 1e-13 of the kernel table's own
-    scale are pure spectral-sum roundoff; they are counted under
-    ``n_zero_increments`` and excluded so noise cannot steer the regression.
+    Increments whose magnitude falls below 1e-13 of the kernel's largest
+    value (the top of its diagonal) are pure spectral-sum roundoff; they are
+    counted under ``n_zero_increments`` and excluded so noise cannot steer
+    the regression.
     """
     t_grid = [float(t) for t in t_grid]
     if len(t_grid) == 0 or len(triples) == 0:
@@ -277,12 +342,13 @@ def verify_holder(
         admissible = (d_move <= sqrt_t) & (d_move > 0.0)
         if not admissible.any():
             continue
-        kernel = heat_kernel(basis, t, tail_tol=tail_tol)
-        floor = 1e-13 * float(np.abs(kernel.table).max())
+        kernel = factored_kernel(basis, t, tail_tol=tail_tol)
+        floor = 1e-13 * float(kernel.diagonal().max())
         vols = ball_volumes_at_nodes(space, sqrt_t)
-        for m in np.nonzero(admissible)[0]:
+        ms = np.nonzero(admissible)[0]
+        diffs = np.abs(kernel.entries(idx1[ms], idx2[ms]) - kernel.entries(idx1[ms], idx3[ms]))
+        for m, diff in zip(ms, diffs):
             n_admissible += 1
-            diff = abs(kernel.table[idx1[m], idx2[m]] - kernel.table[idx1[m], idx3[m]])
             envelope_val = math.exp(-decay_rate * d_main[m] ** 2 / t) / math.sqrt(
                 vols[idx1[m]] * vols[idx2[m]]
             )

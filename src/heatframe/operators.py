@@ -30,7 +30,7 @@ import numpy as np
 from .envelope import EnvelopeParams, envelope_matrix
 from .errors import ContractError, DomainError, PreconditionError
 from .geometry import DoublingProfile, MetricMeasureSpace
-from .jacobi import SpectralBasis, coefficients, synthesize
+from .jacobi import SpectralBasis, coefficients, multiplier_table, synthesize
 from .nets import Net, cell_masses
 from .reporting import VerificationReport, make_report
 
@@ -223,8 +223,7 @@ def spectral_multiplier(basis: SpectralBasis, symbol: Callable[[np.ndarray], np.
         raise ContractError("symbol must map the eigenvalue grid elementwise")
     if not np.all(np.isfinite(values)):
         raise DomainError("symbol values must be finite")
-    table = basis.values.T @ (values[:, None] * basis.values)
-    return KernelOperator(table=0.5 * (table + table.T))
+    return KernelOperator(table=multiplier_table(basis.values, values))
 
 
 def band_index(beta: float) -> int:

@@ -1,6 +1,7 @@
 """Heat kernel: analytic small-case oracle, semigroup laws, Gaussian fits."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from heatframe import (
     TruncationWarning,
     apply_heat,
     build_basis,
+    factored_kernel,
     fit_gaussian_bounds,
     heat_kernel,
     kernel_to_csv,
@@ -78,6 +80,80 @@ def test_semigroup_composition(legendre_space, legendre_basis):
     report = verify_semigroup(legendre_space, legendre_basis, 0.3, 0.4)
     assert report.passed
     assert report.lhs <= 1e-7
+
+
+def test_semigroup_catches_perturbed_basis_values(legendre_space, legendre_basis):
+    # Values perturbed by 1e-6 relative break the Gram identity; the pinned
+    # defect is the one the dense-table composition reports for this draw.
+    rng = np.random.default_rng(0)
+    values = legendre_basis.values * (
+        1.0 + 1e-6 * rng.standard_normal(legendre_basis.values.shape)
+    )
+    corrupted = dataclasses.replace(legendre_basis, values=values)
+    report = verify_semigroup(legendre_space, corrupted, 0.3, 0.4)
+    assert not report.passed
+    assert report.lhs == pytest.approx(3.973949538312705e-07, rel=1e-6)
+
+
+def test_semigroup_catches_basis_of_another_weight(legendre_basis):
+    # Legendre rows are not orthonormal under the gamma = 0.5 weights.
+    other = make_jacobi_space(0.5, 0.0, 64)
+    report = verify_semigroup(other, legendre_basis, 0.3, 0.4)
+    assert not report.passed
+    assert report.lhs == pytest.approx(0.4923338745288967, rel=1e-6)
+
+
+def test_semigroup_rejects_nonpositive_time(legendre_space, legendre_basis):
+    with pytest.raises(DomainError):
+        verify_semigroup(legendre_space, legendre_basis, 0.0, 0.4)
+    with pytest.raises(DomainError):
+        verify_semigroup(legendre_space, legendre_basis, 0.3, -0.1)
+
+
+@pytest.mark.parametrize("gamma, alpha", [(0.0, 0.0), (3.0, -0.5)])
+def test_factored_kernel_matches_dense_table(gamma, alpha):
+    space = make_jacobi_space(gamma, alpha, 64)
+    basis = build_basis(space, JacobiParams(gamma, alpha), 40)
+    rows, cols = np.meshgrid(np.arange(64), np.arange(64), indexing="ij")
+    for t in (0.05, 0.5):
+        table = heat_kernel(basis, t).table
+        view = factored_kernel(basis, t)
+        scale = float(np.abs(table).max())
+        entries = view.entries(rows.ravel(), cols.ravel()).reshape(64, 64)
+        assert np.abs(entries - table).max() <= 1e-13 * scale
+        # a sparse draw with repeated nodes, as the fits sample it
+        i, j = np.random.default_rng(7).integers(0, 64, (2, 150))
+        assert np.abs(view.entries(i, j) - table[i, j]).max() <= 1e-13 * scale
+        assert np.abs(view.diagonal() - np.diag(table)).max() <= 1e-13 * scale
+        # positive semidefinite: the largest |h_t| sits on the diagonal
+        assert float(view.diagonal().max()) == pytest.approx(scale, rel=1e-12)
+
+
+def test_factored_kernel_keeps_time_and_tail_checks(legendre_space, legendre_basis):
+    with pytest.raises(DomainError):
+        factored_kernel(legendre_basis, 0.0)
+    shallow = build_basis(legendre_space, JacobiParams(0.0, 0.0), 5)
+    with pytest.warns(TruncationWarning):
+        factored_kernel(shallow, 0.01)
+
+
+def test_factored_kernel_matches_neumann_closed_form():
+    # gamma = alpha = -1/2: x = cos(theta) carries dtheta on [0, pi], beta_k = k^2,
+    # and h_t is the Neumann heat kernel
+    # 1/pi + (2/pi) sum_k exp(-k^2 t) cos(k theta) cos(k phi).
+    n = 128
+    space = make_jacobi_space(-0.5, -0.5, n)
+    basis = build_basis(space, JacobiParams(-0.5, -0.5), n - 1)
+    theta = np.arccos(space.points)
+    k = np.arange(1, n)[:, None]
+    cosines = np.cos(k * theta)
+    rows, cols = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    for t in (0.05, 0.2, 1.0):
+        closed = 1.0 / math.pi + (2.0 / math.pi) * (
+            cosines.T @ (np.exp(-(k[:, 0] ** 2) * t)[:, None] * cosines)
+        )
+        entries = factored_kernel(basis, t).entries(rows.ravel(), cols.ravel()).reshape(n, n)
+        assert np.abs(entries - closed).max() <= 1e-12 * np.abs(closed).max()
 
 
 def test_eigenfunction_action(legendre_space, legendre_basis):
