@@ -195,7 +195,8 @@ def run_verify(config: RunConfig) -> int:
     for p, q, r in SCHUR_EXPONENTS:
         reports.append(operators.verify_schur(space, kernel_op, p, q, r, schur_trials))
 
-    # carre du champ route comparison folds into the Poincare fit inputs
+    # Poincare constant fitted on sampled balls, with its refinement stability;
+    # the carre du champ route is cross-checked by the tests, not here
     ball_centers = _sample_node_coords(space, rng, 12)
     ball_radii = rng.uniform(0.1, min(1.0, space.diameter / 3.0), size=12)
     balls = list(zip(ball_centers, ball_radii))

@@ -9,7 +9,10 @@ a metric on the points.  Three metrics are supported:
 * ``custom-table`` an explicit symmetric distance matrix over the points.
 
 Balls are open: B(s, r) = {x : d(s, x) < r}, and sigma(B) is the sum of the
-quadrature weights inside.  On top of ball volumes the module estimates a
+quadrature weights inside.  Under the arccos and euclidean metrics a ball is
+a contiguous run of the sorted nodes, so its volume is that run's weights
+summed directly, in O(N log N) for all node balls at once; only the
+custom-table metric masks rows of an N x N table.  On top of ball volumes the module estimates a
 doubling exponent and checks the three quantitative growth bounds used by
 every later estimate: scaled growth
 
@@ -120,15 +123,35 @@ class MetricMeasureSpace:
         return np.arccos(self.points)
 
     @cached_property
+    def _coords(self) -> np.ndarray:
+        """Node coordinates an interval metric measures: theta or the points."""
+        return self._theta if self.metric_kind == METRIC_ARCCOS else self.points
+
+    @cached_property
+    def _sorted_nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted node coordinates and their weights, padded with (inf, 0)."""
+        order = np.argsort(self._coords, kind="stable")
+        return np.append(self._coords[order], np.inf), np.append(self.weights[order], 0.0)
+
+    @cached_property
     def distance_matrix(self) -> np.ndarray:
         if self.metric_kind == METRIC_TABLE:
             return self.dist_table
-        coords = self._theta if self.metric_kind == METRIC_ARCCOS else self.points
+        coords = self._coords
         return np.abs(coords[:, None] - coords[None, :])
 
     @cached_property
     def diameter(self) -> float:
-        return float(self.distance_matrix.max())
+        if self.metric_kind == METRIC_TABLE:
+            return float(self.dist_table.max())
+        # the largest |c_i - c_j| is |max - min|: rounding is monotone
+        return float(abs(self._coords.max() - self._coords.min()))
+
+    def node_distances(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """d(x_i, x_j) for paired node indices, equal to ``distance_matrix[i, j]``."""
+        if self.metric_kind == METRIC_TABLE:
+            return self.dist_table[i, j]
+        return np.abs(self._coords[i] - self._coords[j])
 
     def _locate(self, center: float) -> int:
         idx = int(np.argmin(np.abs(self.points - center)))
@@ -187,7 +210,52 @@ def ball_volumes_at_nodes(space: MetricMeasureSpace, r: float) -> np.ndarray:
         raise DomainError("radius must be nonnegative")
     if r == 0.0:
         return np.zeros(space.n)
-    return (space.distance_matrix < r) @ space.weights
+    if space.metric_kind == METRIC_TABLE:
+        return (space.distance_matrix < r) @ space.weights
+    return _run_volumes(space, space._coords, np.full(space.n, float(r)))
+
+
+def _run_volumes(space: MetricMeasureSpace, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """sigma(B(c_i, r_i)) under an interval metric, from the sorted nodes.
+
+    ``centers`` are metric coordinates (theta under arccos), ``radii`` are
+    positive and of the same length.  An open ball is a contiguous run of the
+    sorted nodes, since rounding keeps |s - c| monotone on each side of c.
+    searchsorted places the run's ends to within a rounding; the open-ball
+    predicate |s - c| < r, evaluated as the distance functions evaluate it,
+    then settles each end exactly.  Each run is summed directly: a prefix-sum
+    difference would lose a ball whose mass sits far below the mass to its
+    left.
+    """
+    coords, weights = space._sorted_nodes
+
+    def inside(k: np.ndarray) -> np.ndarray:
+        return np.abs(coords[k] - centers) < radii
+
+    # lo: first node not left of the ball; hi: first node right of it.  The
+    # pad, reached as index n and as index -1, is never inside.
+    lo = np.searchsorted(coords, centers - radii)
+    hi = np.searchsorted(coords, centers + radii)
+    while True:
+        down = inside(lo - 1)
+        up = ~inside(lo) & (coords[lo] < centers)
+        if not (down.any() or up.any()):
+            break
+        lo = lo - down + up
+    while True:
+        down = (hi > lo) & ~inside(hi - 1)
+        up = inside(hi)
+        if not (down.any() or up.any()):
+            break
+        hi = hi - down + up
+    # reduceat also sums each gap between consecutive runs; in order of lo
+    # those gaps add up to at most n nodes
+    order = np.argsort(lo, kind="stable")  # timsort is linear on monotone runs
+    lo, hi = lo[order], hi[order]
+    sums = np.add.reduceat(weights, np.stack([lo, hi], axis=1).ravel())[0::2]
+    volumes = np.empty(lo.size)
+    volumes[order] = np.where(hi > lo, sums, 0.0)
+    return volumes
 
 
 def mean_value(space: MetricMeasureSpace, f: np.ndarray, center: float, r: float) -> float:
@@ -259,24 +327,17 @@ def estimate_doubling(
     if any(r <= 0.0 for r in radii):
         raise DomainError("radii must be positive")
     reverse_cut = space.diameter / 3.0
-    ratios: list[float] = []
-    reverse_ratios: list[float] = []
-    unit_masses: list[float] = []
-    for c in centers:
-        d = space.distances_from(c)
-        unit_masses.append(float(space.weights[d < 1.0].sum()))
-        for r in radii:
-            inner = float(space.weights[d < r].sum())
-            if inner <= 0.0:
-                raise ResolutionError("ball with zero mass; grid too coarse for the radius")
-            outer = float(space.weights[d < 2.0 * r].sum())
-            ratio = outer / inner
-            ratios.append(ratio)
-            if r <= reverse_cut:
-                reverse_ratios.append(ratio)
-    k_hat = math.log2(max(ratios))
-    alpha_hat = math.log2(min(reverse_ratios)) if reverse_ratios else 0.0
-    a_noncollapse = min(unit_masses)
+    radii_row = np.array(radii)
+    grid = np.broadcast_to(radii_row, (len(centers), radii_row.size))
+    unit_masses = _center_volumes(space, centers, np.ones((len(centers), 1)))
+    inner = _center_volumes(space, centers, grid)
+    if np.any(inner <= 0.0):
+        raise ResolutionError("ball with zero mass; grid too coarse for the radius")
+    ratios = _center_volumes(space, centers, 2.0 * grid) / inner
+    reverse_ratios = ratios[:, radii_row <= reverse_cut]
+    k_hat = math.log2(float(ratios.max()))
+    alpha_hat = math.log2(float(reverse_ratios.min())) if reverse_ratios.size else 0.0
+    a_noncollapse = float(unit_masses.min())
     if a_noncollapse <= 0.0:
         raise ResolutionError("a sampled unit ball carries no mass")
     return DoublingProfile(
@@ -285,6 +346,21 @@ def estimate_doubling(
         a_noncollapse=a_noncollapse,
         a_caret=2.0 ** (-k_hat) * a_noncollapse,
     )
+
+
+def _center_volumes(space: MetricMeasureSpace, centers: list[float], radii: np.ndarray) -> np.ndarray:
+    """sigma(B(centers[i], radii[i, j])) for coordinate centers, as ``ball_volume`` measures them."""
+    if space.metric_kind == METRIC_TABLE:
+        dists = np.array([space.distances_from(c) for c in centers])
+        return np.stack([(dists < r[:, None]) @ space.weights for r in radii.T], axis=1)
+    if space.metric_kind == METRIC_ARCCOS:
+        if any(c < -1.0 or c > 1.0 for c in centers):
+            raise DomainError("arccos metric needs a center in [-1, 1]")
+        coords = np.array([math.acos(c) for c in centers])
+    else:
+        coords = np.array(centers, dtype=float)
+    flat = np.broadcast_to(coords[:, None], radii.shape).ravel()
+    return _run_volumes(space, flat, radii.ravel()).reshape(radii.shape)
 
 
 def verify_ball_growth(

@@ -249,7 +249,7 @@ def fit_gaussian_bounds(
         )
     idx1 = _nearest_indices(space, [p[0] for p in pairs])
     idx2 = _nearest_indices(space, [p[1] for p in pairs])
-    dists = space.distance_matrix[idx1, idx2]
+    dists = space.node_distances(idx1, idx2)
 
     def cloud_at(t: float) -> tuple[np.ndarray, np.ndarray]:
         kernel = factored_kernel(basis, t, tail_tol=tail_tol)
@@ -331,8 +331,8 @@ def verify_holder(
     idx1 = _nearest_indices(space, [tr[0] for tr in triples])
     idx2 = _nearest_indices(space, [tr[1] for tr in triples])
     idx3 = _nearest_indices(space, [tr[2] for tr in triples])
-    d_main = space.distance_matrix[idx1, idx2]
-    d_move = space.distance_matrix[idx2, idx3]
+    d_main = space.node_distances(idx1, idx2)
+    d_move = space.node_distances(idx2, idx3)
     xs: list[float] = []
     ys: list[float] = []
     n_zero = 0

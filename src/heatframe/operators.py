@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -105,6 +106,10 @@ def apply_operator(space: MetricMeasureSpace, op: KernelOperator, f: np.ndarray)
     return (space.weights * f) @ op.table
 
 
+_LOG2 = math.log(2.0)
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 def _exponent_inverse(p: float) -> float:
     if p < 1.0:
         raise DomainError("exponents must be at least 1")
@@ -141,6 +146,17 @@ def verify_young(
         raise DomainError("mapping bound needs q >= p")
     inv_r = 1.0 - inv_p + inv_q
     a_hat = 2.0 ** (-k) * profile.a_noncollapse
+    # For heavy weights k is large and a_hat tiny, so a_hat^(k(1/r - 1)) can
+    # overflow; compare the log of each factor and of the product first.
+    log_power = k * (inv_r - 1.0) * (math.log(profile.a_noncollapse) - k * _LOG2)
+    log_two_power = (2 * k + 1) * _LOG2
+    log_a_prime = math.log(cert.a_prime) if cert.a_prime > 0.0 else -math.inf
+    log_a_const = log_a_prime + log_power + log_two_power
+    if max(log_power, log_two_power, log_a_const) >= _LOG_FLOAT_MAX:
+        raise PreconditionError(
+            f"Young constant a' a_hat^(k(1/r - 1)) 2^(2k+1) overflows (log {log_a_const:.6g} at k = {k}); "
+            f"the mapping bound is vacuous"
+        )
     a_const = cert.a_prime * a_hat ** (k * (inv_r - 1.0)) * 2.0 ** (2 * k + 1)
     rhs = a_const * delta ** (k * (inv_q - inv_p))
     trials = np.atleast_2d(np.asarray(trials, dtype=float))

@@ -90,3 +90,14 @@ def test_domain_error_exits_with_code_two(tmp_path, capsys):
     assert main(["verify", "--delta", "0"]) == 2
     err = capsys.readouterr().err
     assert err.strip() != ""
+
+
+def test_vacuous_young_constant_exits_two(capsys):
+    # k = 30 for this weight, so the Young constant overflows a float
+    argv = ["verify", "--gamma", "5", "--alpha", "20", "--nodes", "128",
+            "--degree", "19", "--delta", "0.05", "--t", "1.0"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "Young constant" in errors[0]
+    assert "Traceback" not in err

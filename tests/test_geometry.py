@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from heatframe import (
     METRIC_ARCCOS,
+    METRIC_EUCLIDEAN,
     METRIC_TABLE,
     DegenerateBallError,
     DomainError,
     MetricMeasureSpace,
+    ResolutionError,
     ball_volume,
     ball_volumes_at_nodes,
     estimate_doubling,
@@ -104,6 +106,109 @@ def test_ball_volumes_at_nodes_matches_pointwise(legendre_space):
     vols = ball_volumes_at_nodes(legendre_space, r)
     expected = [ball_volume(legendre_space, s, r) for s in legendre_space.points]
     assert vols == pytest.approx(expected, rel=1e-15)
+
+
+def _dense_volumes(space, r):
+    """The N x N reference: sigma(B(x_i, r)) = (D < r) @ w."""
+    return (space.distance_matrix < r) @ space.weights
+
+
+def _as_table(space):
+    return MetricMeasureSpace(space.points, space.weights, METRIC_TABLE, space.distance_matrix)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    gamma=st.floats(-0.9, 6.0),
+    alpha=st.floats(-0.9, 6.0),
+    n=st.integers(2, 96),
+    pick=st.tuples(st.integers(0, 95), st.integers(0, 95)),
+    scale=st.floats(0.0, 1.0),
+)
+def test_sorted_runs_match_custom_table_oracle(gamma, alpha, n, pick, scale):
+    space = make_jacobi_space(gamma, alpha, n)
+    i, j = pick[0] % n, pick[1] % n
+    gap = float(space.distance_matrix[i, j])  # an exact open-ball boundary
+    radii = [r for r in (gap, np.nextafter(gap, np.inf), scale * space.diameter) if r > 0.0]
+    table = _as_table(space)
+    counts = MetricMeasureSpace(space.points, np.ones(n), METRIC_ARCCOS)
+    count_table = _as_table(counts)
+    for r in radii:
+        np.testing.assert_allclose(
+            ball_volumes_at_nodes(space, r), ball_volumes_at_nodes(table, r), rtol=1e-13, atol=0.0
+        )
+        assert np.array_equal(ball_volumes_at_nodes(counts, r), ball_volumes_at_nodes(count_table, r))
+
+
+def test_sorted_runs_count_shuffled_euclidean_nodes_exactly():
+    rng = np.random.default_rng(3)
+    points = rng.permutation(np.round(rng.uniform(-2.0, 2.0, size=300), 2))  # ties included
+    space = MetricMeasureSpace(points, np.ones(points.size), METRIC_EUCLIDEAN)
+    gaps = np.abs(points[:20] - points[20:40])
+    for r in (*gaps[gaps > 0], 1e-3, 0.25, 1.0, 5.0):
+        assert np.array_equal(ball_volumes_at_nodes(space, r), _dense_volumes(space, r))
+
+
+def test_sorted_runs_keep_tiny_balls_of_a_heavy_weight():
+    # Next to x = -1 a ball holds about 1e-51 of the mass; a prefix-sum
+    # difference there keeps nothing of it.
+    space = make_jacobi_space(5.0, 20.0, 512)
+    vols = ball_volumes_at_nodes(space, 0.05)
+    dense = _dense_volumes(space, 0.05)
+    assert vols.min() < 1e-45 * space.total_mass
+    np.testing.assert_allclose(vols, dense, rtol=1e-13, atol=0.0)
+
+
+def _doubling_by_loop(space, centers, radii):
+    """estimate_doubling as a per-center loop over distances_from."""
+    reverse_cut = space.diameter / 3.0
+    ratios, reverse_ratios, unit_masses = [], [], []
+    for c in centers:
+        d = space.distances_from(c)
+        unit_masses.append(float(space.weights[d < 1.0].sum()))
+        for r in radii:
+            ratio = float(space.weights[d < 2.0 * r].sum()) / float(space.weights[d < r].sum())
+            ratios.append(ratio)
+            if r <= reverse_cut:
+                reverse_ratios.append(ratio)
+    return math.log2(max(ratios)), math.log2(min(reverse_ratios)), min(unit_masses)
+
+
+@pytest.mark.parametrize("gamma, alpha", [(0.0, 0.0), (3.0, -0.5)])
+def test_estimate_doubling_matches_per_center_loop(gamma, alpha):
+    space = make_jacobi_space(gamma, alpha, 200)
+    rng = np.random.default_rng(5)
+    radii = rng.uniform(0.02 * space.diameter, space.diameter / 3.0, size=12)
+    centers = list(space.points) + list(rng.uniform(-1.0, 1.0, size=20))
+    profile = estimate_doubling(space, centers, radii)
+    k_hat, alpha_hat, a_noncollapse = _doubling_by_loop(space, centers, radii)
+    assert profile.k_hat == pytest.approx(k_hat, rel=1e-13)
+    assert profile.alpha_hat == pytest.approx(alpha_hat, rel=1e-13)
+    assert profile.a_noncollapse == pytest.approx(a_noncollapse, rel=1e-13)
+
+
+def test_estimate_doubling_rejects_unresolved_radius():
+    space = make_jacobi_space(0.0, 0.0, 16)
+    between = float(np.cos(np.arccos(space.points[:2]).mean()))
+    with pytest.raises(ResolutionError, match="grid too coarse for the radius"):
+        estimate_doubling(space, [between], [1e-4])
+
+
+@pytest.mark.parametrize("metric", [METRIC_ARCCOS, METRIC_EUCLIDEAN])
+def test_diameter_equals_table_maximum_bitwise(metric):
+    rng = np.random.default_rng(8)
+    points = np.sort(rng.uniform(-1.0, 1.0, size=257))
+    for pts in (points, rng.permutation(points)):
+        space = MetricMeasureSpace(pts, np.ones(pts.size), metric)
+        assert space.diameter == float(space.distance_matrix.max())
+    jacobi = make_jacobi_space(3.0, -0.5, 300)
+    assert jacobi.diameter == float(jacobi.distance_matrix.max())
+
+
+def test_node_distances_equal_table_entries(legendre_space):
+    i = np.arange(legendre_space.n)
+    j = i[::-1]
+    assert np.array_equal(legendre_space.node_distances(i, j), legendre_space.distance_matrix[i, j])
 
 
 def test_mean_value_hand_oracle():
