@@ -8,6 +8,8 @@ are consistent to machine precision.
 from __future__ import annotations
 
 import math
+from collections import deque
+from typing import Iterator
 
 import numpy as np
 
@@ -43,6 +45,33 @@ def recurrence_coefficients(gamma: float, alpha: float, n: int) -> tuple[np.ndar
     return a, b, mu0
 
 
+def _rows(
+    a: np.ndarray, b: np.ndarray, mu0: float, x: np.ndarray, *, derivs: bool = True
+) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    """Yield (p_k(x), p_k'(x)) for k = 0..len(a) - 1 from the recurrence
+    coefficients (a, b, mu0), holding only the two previous rows.
+
+    With derivs=False the derivative slot is None and no derivative is
+    computed.  Every yielded row is a fresh array the caller may keep.
+    """
+    v_prev = d_prev = None
+    v = np.full(x.shape, 1.0 / math.sqrt(mu0))
+    d = np.zeros(x.shape) if derivs else None
+    yield v, d
+    for k in range(len(a) - 1):
+        sb_next = math.sqrt(b[k + 1])
+        if k == 0:
+            v_next = (x - a[0]) * v / sb_next
+            d_next = v / sb_next if derivs else None
+        else:
+            sb_prev = math.sqrt(b[k])
+            v_next = ((x - a[k]) * v - sb_prev * v_prev) / sb_next
+            d_next = ((x - a[k]) * d + v - sb_prev * d_prev) / sb_next if derivs else None
+        v_prev, v = v, v_next
+        d_prev, d = d, d_next
+        yield v, d
+
+
 def evaluate_orthonormal(
     gamma: float, alpha: float, degree: int, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -54,18 +83,11 @@ def evaluate_orthonormal(
     """
     x = np.asarray(x, dtype=float)
     a, b, mu0 = recurrence_coefficients(gamma, alpha, degree)
-    values = np.zeros((degree + 1, x.size))
-    derivs = np.zeros((degree + 1, x.size))
-    values[0] = 1.0 / math.sqrt(mu0)
-    if degree >= 1:
-        sb1 = math.sqrt(b[1])
-        values[1] = (x - a[0]) * values[0] / sb1
-        derivs[1] = values[0] / sb1
-    for k in range(1, degree):
-        sb_next = math.sqrt(b[k + 1])
-        sb_prev = math.sqrt(b[k])
-        values[k + 1] = ((x - a[k]) * values[k] - sb_prev * values[k - 1]) / sb_next
-        derivs[k + 1] = ((x - a[k]) * derivs[k] + values[k] - sb_prev * derivs[k - 1]) / sb_next
+    values = np.empty((degree + 1, x.size))
+    derivs = np.empty((degree + 1, x.size))
+    for k, (v, d) in enumerate(_rows(a, b, mu0, x)):
+        values[k] = v
+        derivs[k] = d
     return values, derivs
 
 
@@ -77,17 +99,25 @@ def gauss_nodes(gamma: float, alpha: float, n: int) -> tuple[np.ndarray, np.ndar
     weights are rebuilt as Christoffel numbers 1 / sum_i p_i(x_j)^2.  The
     refined rule keeps the discrete Gram matrix of p_0..p_{n-1} within a few
     ulp of the identity, which the spectral modules rely on.
+
+    The recurrence runs row by row, so the rule needs O(n) memory.  The
+    squares are added in row order 0..n-1, the order in which a sum over the
+    rows of a tabulated (n, n) array adds them, so the weights are bitwise
+    those of the tabulated form.
     """
     if n < 1:
         raise DomainError("need at least one quadrature node")
     from scipy.special import roots_jacobi
 
+    a, b, mu0 = recurrence_coefficients(gamma, alpha, n)
     x, _ = roots_jacobi(n, gamma, alpha)
     for _ in range(2):
-        values, derivs = evaluate_orthonormal(gamma, alpha, n, x)
-        x = x - values[n] / derivs[n]
+        p, dp = deque(_rows(a, b, mu0, x), maxlen=1).pop()  # row n only
+        x = x - p / dp
     x = np.clip(x, -1.0, 1.0)
-    values, _ = evaluate_orthonormal(gamma, alpha, n, x)
-    w = 1.0 / np.sum(values[:n] ** 2, axis=0)
+    squares = np.zeros(n)
+    for p, _ in _rows(a[:n], b[:n], mu0, x, derivs=False):
+        squares += p ** 2
+    w = 1.0 / squares
     order = np.argsort(x)
     return x[order], w[order]

@@ -29,7 +29,7 @@ from .envelope import (
     verify_envelope_scaling,
     verify_lemma_integrals,
 )
-from .errors import DomainError, HeatframeError
+from .errors import DomainError, ExactnessError, HeatframeError
 from .reporting import VerificationReport, aggregate, compare_stability, gate, to_json
 
 GAUSS_T_GRID = (0.05, 0.1, 0.2, 0.5, 1.0)
@@ -71,6 +71,31 @@ class RunConfig:
             raise DomainError("sigma must be positive")
         if self.k_override is not None and self.k_override < 1:
             raise DomainError("k override must be a positive integer")
+        if self.command == "verify":
+            self._check_spectral_tail()
+
+    def _check_spectral_tail(self) -> None:
+        """Reject up front the degree the Gaussian fit would reject at the end.
+
+        The tail is the expression ``heat.fit_gaussian_bounds`` tests, so a
+        degree passes here exactly when it passes there.
+        """
+        params = jacobi.JacobiParams(self.gamma, self.alpha)
+        t_min = min(GAUSS_T_GRID)
+
+        def tail(degree: int) -> float:
+            return math.exp(-jacobi.eigenvalue(degree, params) * t_min)
+
+        minimum = self.degree
+        while tail(minimum) > heat.TAIL_TOL:
+            minimum += 1
+        if minimum == self.degree:
+            return
+        limit = "" if minimum <= self.n_nodes - 1 else f", which needs at least {minimum + 1} nodes"
+        raise ExactnessError(
+            f"spectral tail {tail(self.degree):.2e} at t = {t_min} exceeds {heat.TAIL_TOL:.1e}; "
+            f"verify needs degree >= {minimum}{limit}"
+        )
 
 
 def _build(config: RunConfig) -> tuple[geometry.MetricMeasureSpace, jacobi.SpectralBasis]:
@@ -279,7 +304,7 @@ def run_kernel(config: RunConfig) -> int:
 
 def run_net(config: RunConfig) -> int:
     config.validate()
-    space, _ = _build(config)
+    space = geometry.make_jacobi_space(config.gamma, config.alpha, config.n_nodes)
     net = nets.build_partition(space, nets.build_maximal_net(space, config.delta))
     out = config.out or "net.json"
     nets.save_net(net, out)

@@ -134,6 +134,11 @@ class MetricMeasureSpace:
         return np.append(self._coords[order], np.inf), np.append(self.weights[order], 0.0)
 
     @cached_property
+    def _node_ball_volumes(self) -> dict[float, np.ndarray]:
+        """Read-only ball_volumes_at_nodes vectors, by radius."""
+        return {}
+
+    @cached_property
     def distance_matrix(self) -> np.ndarray:
         if self.metric_kind == METRIC_TABLE:
             return self.dist_table
@@ -205,14 +210,25 @@ def ball_volume(space: MetricMeasureSpace, center: float, r: float) -> float:
 
 
 def ball_volumes_at_nodes(space: MetricMeasureSpace, r: float) -> np.ndarray:
-    """sigma(B(x_j, r)) for every node x_j at once."""
+    """sigma(B(x_j, r)) for every node x_j at once.
+
+    The vector is memoised on the space per radius and returned read-only:
+    a verdict asks for the same few radii many times.
+    """
     if r < 0.0:
         raise DomainError("radius must be nonnegative")
-    if r == 0.0:
-        return np.zeros(space.n)
-    if space.metric_kind == METRIC_TABLE:
-        return (space.distance_matrix < r) @ space.weights
-    return _run_volumes(space, space._coords, np.full(space.n, float(r)))
+    r = float(r)
+    volumes = space._node_ball_volumes.get(r)
+    if volumes is None:
+        if r == 0.0:
+            volumes = np.zeros(space.n)
+        elif space.metric_kind == METRIC_TABLE:
+            volumes = (space.distance_matrix < r) @ space.weights
+        else:
+            volumes = _run_volumes(space, space._coords, np.full(space.n, r))
+        volumes.flags.writeable = False
+        space._node_ball_volumes[r] = volumes
+    return volumes
 
 
 def _run_volumes(space: MetricMeasureSpace, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:

@@ -41,6 +41,8 @@ from .reporting import VerificationReport, make_report
 
 import warnings
 
+TAIL_TOL = 1e-12  # largest admissible spectral tail exp(-beta_N t)
+
 
 @dataclass(frozen=True)
 class HeatKernelEval:
@@ -68,7 +70,7 @@ def _decay(basis: SpectralBasis, t: float, tail_tol: float) -> np.ndarray:
     return decay
 
 
-def heat_kernel(basis: SpectralBasis, t: float, *, tail_tol: float = 1e-12) -> HeatKernelEval:
+def heat_kernel(basis: SpectralBasis, t: float, *, tail_tol: float = TAIL_TOL) -> HeatKernelEval:
     """Evaluate h_t on all node pairs; warn if the spectral tail is not
     negligible at this t."""
     decay = _decay(basis, t, tail_tol)
@@ -112,7 +114,7 @@ class FactoredKernel:
         return self.decay @ (self.rows * self.rows)
 
 
-def factored_kernel(basis: SpectralBasis, t: float, *, tail_tol: float = 1e-12) -> FactoredKernel:
+def factored_kernel(basis: SpectralBasis, t: float, *, tail_tol: float = TAIL_TOL) -> FactoredKernel:
     """The factored view of h_t, with the time and tail checks of heat_kernel."""
     decay = _decay(basis, t, tail_tol)
     keep = int(np.flatnonzero(decay).max(initial=-1)) + 1
@@ -224,7 +226,7 @@ def fit_gaussian_bounds(
     t_grid: Sequence[float],
     pairs: Sequence[tuple[float, float]],
     *,
-    tail_tol: float = 1e-12,
+    tail_tol: float = TAIL_TOL,
 ) -> VerificationReport:
     """Fit two-sided Gaussian envelope constants (K, a) and (c1', c1).
 
@@ -301,7 +303,7 @@ def verify_holder(
     triples: Sequence[tuple[float, float, float]],
     *,
     decay_rate: float | None = None,
-    tail_tol: float = 1e-12,
+    tail_tol: float = TAIL_TOL,
 ) -> VerificationReport:
     """Fit the space Hoelder exponent of h_t against the Gaussian envelope.
 

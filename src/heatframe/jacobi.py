@@ -102,10 +102,11 @@ def build_basis(space: MetricMeasureSpace, params: JacobiParams, degree: int) ->
         )
     values, derivs = evaluate_orthonormal(params.gamma, params.alpha, degree, space.points)
     norms = np.sqrt((values * values) @ space.weights)
-    values = values / norms[:, None]
-    derivs = derivs / norms[:, None]
+    values /= norms[:, None]
+    derivs /= norms[:, None]
     gram = (values * space.weights) @ values.T
-    defect = float(np.abs(gram - np.eye(degree + 1)).max())
+    gram[np.diag_indices_from(gram)] -= 1.0
+    defect = float(np.abs(gram, out=gram).max())
     if defect > _ORTHO_TOL:
         raise ExactnessError(f"discrete Gram defect {defect:.2e}; space does not match the weight")
     eigs = np.array([eigenvalue(i, params) for i in range(degree + 1)])

@@ -1,12 +1,20 @@
 """Command-line entry points: schema, artifacts, exit codes."""
 
 import csv
+import importlib.util
+import itertools
 import json
+import math
+import sys
+from pathlib import Path
 
 import pytest
 
 from heatframe import DomainError, load_net
+from heatframe import cli
 from heatframe.cli import RunConfig, build_parser, config_from_args, main
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def test_config_validation_rejects_bad_ranges():
@@ -101,3 +109,34 @@ def test_vacuous_young_constant_exits_two(capsys):
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and "Young constant" in errors[0]
     assert "Traceback" not in err
+
+
+def test_too_low_verify_degree_fails_before_any_phase(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(cli, "_build", lambda config: built.append(config))
+    assert main(["verify", "--nodes", "64", "--degree", "10"]) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    # beta_23 * 0.05 = 27.6 leaves a tail of 1.03e-12; beta_24 * 0.05 = 30
+    assert len(errors) == 1 and "degree >= 24" in errors[0]
+    assert "Traceback" not in err
+    assert built == []
+    # the same degree stays admissible for the other commands
+    RunConfig(command="kernel", n_nodes=64, degree=10).validate()
+
+
+def test_benchmark_sweep_grid_passes_validation(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    for n, gamma, alpha, delta, t in itertools.product(
+        workloads.SWEEP_NODES,
+        workloads.SWEEP_WEIGHTS,
+        workloads.SWEEP_WEIGHTS,
+        workloads.SWEEP_DELTAS,
+        workloads.SWEEP_TIMES,
+    ):
+        RunConfig(
+            gamma=gamma, alpha=alpha, n_nodes=n, degree=math.floor(0.8 * n), t=t, delta=delta
+        ).validate()

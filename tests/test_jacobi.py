@@ -22,6 +22,7 @@ from heatframe import (
     effective_degree,
     eigenvalue,
     form_omega,
+    make_jacobi_space,
     random_polynomials,
     synthesize,
     verify_poincare,
@@ -65,6 +66,14 @@ def test_basis_rejects_bad_configurations(legendre_space):
         build_basis(other, params, 1)
     with pytest.raises(DomainError):
         JacobiParams(-1.0, 0.0)
+
+
+def test_gram_check_rejects_a_basis_of_another_weight():
+    # Legendre polynomials are not orthonormal under (1 - x)^0.5.
+    space = make_jacobi_space(0.5, 0.0, 64)
+    with pytest.raises(ExactnessError, match="Gram defect"):
+        build_basis(space, JacobiParams(0.0, 0.0), 40)
+    build_basis(space, JacobiParams(0.5, 0.0), 40)
 
 
 def test_analysis_synthesis_round_trip(legendre_basis, rng):

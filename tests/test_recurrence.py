@@ -1,6 +1,7 @@
 """Quadrature and orthonormal-recurrence tests against independent oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,41 @@ from heatframe._recurrence import (
     gauss_nodes,
     recurrence_coefficients,
 )
+
+
+def _reference_tables(gamma, alpha, degree, x):
+    """The recurrence tabulated whole, row by row into (degree + 1, N) tables."""
+    a, b, mu0 = recurrence_coefficients(gamma, alpha, degree)
+    values = np.zeros((degree + 1, x.size))
+    derivs = np.zeros((degree + 1, x.size))
+    values[0] = 1.0 / math.sqrt(mu0)
+    if degree >= 1:
+        sb1 = math.sqrt(b[1])
+        values[1] = (x - a[0]) * values[0] / sb1
+        derivs[1] = values[0] / sb1
+    for k in range(1, degree):
+        sb_next = math.sqrt(b[k + 1])
+        sb_prev = math.sqrt(b[k])
+        values[k + 1] = ((x - a[k]) * values[k] - sb_prev * values[k - 1]) / sb_next
+        derivs[k + 1] = ((x - a[k]) * derivs[k] + values[k] - sb_prev * derivs[k - 1]) / sb_next
+    return values, derivs
+
+
+def _reference_rule(gamma, alpha, n):
+    """The rule from three full tables: two Newton passes and a column sum."""
+    x, _ = scipy.special.roots_jacobi(n, gamma, alpha)
+    for _ in range(2):
+        values, derivs = _reference_tables(gamma, alpha, n, x)
+        x = x - values[n] / derivs[n]
+    x = np.clip(x, -1.0, 1.0)
+    values, _ = _reference_tables(gamma, alpha, n, x)
+    w = 1.0 / np.sum(values[:n] ** 2, axis=0)
+    order = np.argsort(x)
+    return x[order], w[order]
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_two_node_flat_weight_is_analytic():
@@ -89,3 +125,32 @@ def test_rule_invariants_hold_for_any_parameters(gamma, alpha, n):
     assert np.all(np.diff(nodes) > 0.0)
     _, _, mu0 = recurrence_coefficients(gamma, alpha, 2)
     assert float(weights.sum()) == pytest.approx(mu0, rel=1e-11)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    gamma=st.floats(-1.0, 6.0, exclude_min=True),
+    alpha=st.floats(-1.0, 6.0, exclude_min=True),
+    n=st.integers(1, 300),
+)
+def test_rule_and_tables_are_bitwise_those_of_the_full_tables(gamma, alpha, n):
+    nodes, weights = gauss_nodes(gamma, alpha, n)
+    ref_nodes, ref_weights = _reference_rule(gamma, alpha, n)
+    assert _same_bits(nodes, ref_nodes)
+    assert _same_bits(weights, ref_weights)
+    values, derivs = evaluate_orthonormal(gamma, alpha, n, nodes)
+    ref_values, ref_derivs = _reference_tables(gamma, alpha, n, nodes)
+    assert _same_bits(values, ref_values)
+    assert _same_bits(derivs, ref_derivs)
+
+
+def test_rule_keeps_linear_memory():
+    # The three (n + 1) x n tables took a 128 MB peak at 2048 nodes.
+    gauss_nodes(3.0, -0.5, 8)  # pay scipy's import outside the trace
+    tracemalloc.start()
+    try:
+        gauss_nodes(3.0, -0.5, 2048)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
