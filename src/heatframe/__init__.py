@@ -8,7 +8,6 @@ from .envelope import (
     EstimateConstants,
     constants_for,
     envelope,
-    envelope_lp_norm,
     envelope_matrix,
     envelope_profile,
     verify_envelope_lp,
@@ -17,7 +16,6 @@ from .envelope import (
 )
 from .errors import (
     ContractError,
-    DegenerateBallError,
     DomainError,
     ExactnessError,
     HeatframeError,
@@ -36,10 +34,8 @@ from .geometry import (
     ball_volume,
     ball_volumes_at_nodes,
     estimate_doubling,
+    lp_norm,
     make_jacobi_space,
-    mean_value,
-    space_from_csv,
-    space_to_csv,
     verify_ball_growth,
 )
 from .heat import (
@@ -59,7 +55,6 @@ from .jacobi import (
     JacobiParams,
     SpectralBasis,
     apply_L,
-    basis_to_csv,
     build_basis,
     carre_du_champ,
     carre_du_champ_gradient,
@@ -92,8 +87,6 @@ from .operators import (
     band_index,
     decomposition_to_csv,
     dominated_operator,
-    lp_norm,
-    make_operator,
     spectral_multiplier,
     verify_band_decomposition,
     verify_schur,

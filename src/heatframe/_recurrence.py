@@ -9,11 +9,24 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .errors import DomainError
+
+
+@dataclass(frozen=True)
+class JacobiParams:
+    """Weight exponents; both must exceed -1 for the measure to be finite."""
+
+    gamma: float
+    alpha: float
+
+    def __post_init__(self) -> None:
+        if self.gamma <= -1.0 or self.alpha <= -1.0:
+            raise DomainError("weight exponents must exceed -1")
 
 
 def recurrence_coefficients(gamma: float, alpha: float, n: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -24,8 +37,7 @@ def recurrence_coefficients(gamma: float, alpha: float, n: int) -> tuple[np.ndar
     The k = 0 and k = 1 entries use algebraically canceled expressions so
     the formulas stay finite when gamma + alpha + 1 = 0.
     """
-    if gamma <= -1.0 or alpha <= -1.0:
-        raise DomainError("weight exponents must exceed -1")
+    JacobiParams(gamma, alpha)  # raises DomainError unless both exceed -1
     if n < 0:
         raise DomainError("degree must be nonnegative")
     s = gamma + alpha

@@ -57,8 +57,7 @@ class RunConfig:
     basis_index: int | None = None
 
     def validate(self) -> None:
-        if self.gamma <= -1.0 or self.alpha <= -1.0:
-            raise DomainError("weight exponents must exceed -1")
+        params = jacobi.JacobiParams(self.gamma, self.alpha)
         if self.n_nodes < 2:
             raise DomainError("need at least two nodes")
         if not (0 <= self.degree <= self.n_nodes - 1):
@@ -72,15 +71,14 @@ class RunConfig:
         if self.k_override is not None and self.k_override < 1:
             raise DomainError("k override must be a positive integer")
         if self.command == "verify":
-            self._check_spectral_tail()
+            self._check_spectral_tail(params)
 
-    def _check_spectral_tail(self) -> None:
+    def _check_spectral_tail(self, params: jacobi.JacobiParams) -> None:
         """Reject up front the degree the Gaussian fit would reject at the end.
 
         The tail is the expression ``heat.fit_gaussian_bounds`` tests, so a
         degree passes here exactly when it passes there.
         """
-        params = jacobi.JacobiParams(self.gamma, self.alpha)
         t_min = min(GAUSS_T_GRID)
 
         def tail(degree: int) -> float:
@@ -98,10 +96,14 @@ class RunConfig:
         )
 
 
-def _build(config: RunConfig) -> tuple[geometry.MetricMeasureSpace, jacobi.SpectralBasis]:
-    space = geometry.make_jacobi_space(config.gamma, config.alpha, config.n_nodes)
-    basis = jacobi.build_basis(space, jacobi.JacobiParams(config.gamma, config.alpha), config.degree)
-    return space, basis
+def _build(config: RunConfig, *, doubled: bool = False) -> jacobi.SpectralBasis:
+    """The configured basis, or its refinement on twice the nodes at twice
+    the degree (capped at the rule's exactness limit)."""
+    scale = 2 if doubled else 1
+    nodes = scale * config.n_nodes
+    space = geometry.make_jacobi_space(config.gamma, config.alpha, nodes)
+    params = jacobi.JacobiParams(config.gamma, config.alpha)
+    return jacobi.build_basis(space, params, min(scale * config.degree, nodes - 1))
 
 
 def _theta_range(space: geometry.MetricMeasureSpace) -> tuple[float, float]:
@@ -123,18 +125,11 @@ def _profile(space: geometry.MetricMeasureSpace, rng: np.random.Generator) -> ge
     return geometry.estimate_doubling(space, list(space.points), list(radii))
 
 
-def _refined(config: RunConfig) -> tuple[geometry.MetricMeasureSpace, jacobi.SpectralBasis]:
-    nodes = 2 * config.n_nodes
-    degree = min(2 * config.degree, nodes - 1)
-    space = geometry.make_jacobi_space(config.gamma, config.alpha, nodes)
-    basis = jacobi.build_basis(space, jacobi.JacobiParams(config.gamma, config.alpha), degree)
-    return space, basis
-
-
 def run_verify(config: RunConfig) -> int:
     config.validate()
     rng = np.random.default_rng(config.seed)
-    space, basis = _build(config)
+    basis = _build(config)
+    space = basis.space
     profile = _profile(space, rng)
     k = config.k_override if config.k_override is not None else profile.k
     sigma_exp = config.sigma_exp if config.sigma_exp is not None else 2.0 * k + 1.0
@@ -177,12 +172,12 @@ def run_verify(config: RunConfig) -> int:
         reports.append(heat.verify_semigroup(space, basis, float(t_val), float(s_val)))
     for t_val in EIGEN_T_GRID:
         reports.append(
-            heat.verify_eigen_action(space, basis, t_val, min(10, basis.degree))
+            heat.verify_eigen_action(basis, t_val, min(10, basis.degree))
         )
 
     # Gaussian envelope and Hoelder exponent fits with refinement stability
     gauss_pairs = list(zip(_sample_coords(space, rng, 150), _sample_coords(space, rng, 150)))
-    gauss_base = heat.fit_gaussian_bounds(space, basis, GAUSS_T_GRID, gauss_pairs)
+    gauss_base = heat.fit_gaussian_bounds(basis, GAUSS_T_GRID, gauss_pairs)
     reports.append(gauss_base)
     lo, hi = _theta_range(space)
     t_ref = math.sqrt(min(GAUSS_T_GRID))
@@ -193,18 +188,16 @@ def run_verify(config: RunConfig) -> int:
         th2p = min(max(th2 + step, lo), hi)
         holder_triples.append((math.cos(th1), math.cos(th2), math.cos(th2p)))
     decay_rate = float(gauss_base.context["a"])
-    holder_base = heat.verify_holder(space, basis, GAUSS_T_GRID, holder_triples, decay_rate=decay_rate)
+    holder_base = heat.verify_holder(basis, GAUSS_T_GRID, holder_triples, decay_rate=decay_rate)
     reports.append(holder_base)
-    space_fine, basis_fine = _refined(config)
-    gauss_fine = heat.fit_gaussian_bounds(space_fine, basis_fine, GAUSS_T_GRID, gauss_pairs)
+    basis_fine = _build(config, doubled=True)
+    gauss_fine = heat.fit_gaussian_bounds(basis_fine, GAUSS_T_GRID, gauss_pairs)
     reports.append(
         compare_stability(
             "gauss.stability", gauss_base.context, gauss_fine.context, ("K", "a", "c1_prime", "c1")
         )
     )
-    holder_fine = heat.verify_holder(
-        space_fine, basis_fine, GAUSS_T_GRID, holder_triples, decay_rate=decay_rate
-    )
+    holder_fine = heat.verify_holder(basis_fine, GAUSS_T_GRID, holder_triples, decay_rate=decay_rate)
     reports.append(
         compare_stability("holder.stability", holder_base.context, holder_fine.context, ("gamma_H",))
     )
@@ -226,12 +219,9 @@ def run_verify(config: RunConfig) -> int:
     ball_radii = rng.uniform(0.1, min(1.0, space.diameter / 3.0), size=12)
     balls = list(zip(ball_centers, ball_radii))
     poincare_rng = np.random.default_rng(config.seed + 1)
-    poincare_base = jacobi.verify_poincare(
-        space, basis, balls, poincare_rng, max_degree=min(10, basis.degree)
-    )
+    poincare_base = jacobi.verify_poincare(basis, balls, poincare_rng, max_degree=min(10, basis.degree))
     reports.extend(poincare_base)
     poincare_fine = jacobi.verify_poincare(
-        space_fine,
         basis_fine,
         balls,
         np.random.default_rng(config.seed + 1),
@@ -294,7 +284,7 @@ def run_verify(config: RunConfig) -> int:
 
 def run_kernel(config: RunConfig) -> int:
     config.validate()
-    _, basis = _build(config)
+    basis = _build(config)
     kernel = heat.heat_kernel(basis, config.t)
     out = config.out or "kernel.csv"
     heat.kernel_to_csv(kernel, out)
@@ -314,8 +304,8 @@ def run_net(config: RunConfig) -> int:
 
 def run_decompose(config: RunConfig) -> int:
     config.validate()
-    space, basis = _build(config)
-    net = nets.build_partition(space, nets.build_maximal_net(space, config.delta))
+    basis = _build(config)
+    net = nets.build_partition(basis.space, nets.build_maximal_net(basis.space, config.delta))
     if config.basis_index is not None:
         if not (0 <= config.basis_index <= basis.degree):
             raise DomainError("basis index must lie within the basis degree")
@@ -359,27 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        gamma=args.gamma,
-        alpha=args.alpha,
-        n_nodes=args.n_nodes,
-        degree=args.degree,
-        t=args.t,
-        delta=args.delta,
-        sigma_exp=args.sigma_exp,
-        k_override=args.k_override,
-        seed=args.seed,
-        out=args.out,
-        basis_index=getattr(args, "basis_index", None),
-    )
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = config_from_args(args)
+    config = RunConfig(**vars(build_parser().parse_args(argv)))
     runners = {
         "verify": run_verify,
         "kernel": run_kernel,

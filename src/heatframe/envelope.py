@@ -28,7 +28,7 @@ import numpy as np
 
 from ._parallel import ordered_map
 from .errors import DomainError, ResolutionError, SamplingError
-from .geometry import MetricMeasureSpace, ball_volume, ball_volumes_at_nodes
+from .geometry import MetricMeasureSpace, ball_volume, ball_volumes_at_nodes, lp_norm
 from .reporting import VerificationReport, make_report
 
 
@@ -129,16 +129,6 @@ def envelope_matrix(space: MetricMeasureSpace, params: EnvelopeParams) -> np.nda
     return scale * (1.0 + space.distance_matrix / params.delta) ** -params.sigma_exp
 
 
-def envelope_lp_norm(space: MetricMeasureSpace, params: EnvelopeParams, s1: float, p: float) -> float:
-    """Weighted L^p norm of the slice E(s1, .) over the space."""
-    if p < 1.0:
-        raise DomainError("p must be at least 1")
-    profile = envelope_profile(space, params, s1)
-    if math.isinf(p):
-        return float(np.abs(profile).max())
-    return float((space.weights @ np.abs(profile) ** p) ** (1.0 / p))
-
-
 def verify_envelope_lp(
     space: MetricMeasureSpace,
     params: EnvelopeParams,
@@ -152,7 +142,7 @@ def verify_envelope_lp(
     inv_p = 0.0 if math.isinf(p) else 1.0 / p
     reports = []
     for s1 in sample_points:
-        norm = envelope_lp_norm(space, params, s1, p)
+        norm = lp_norm(space.weights, envelope_profile(space, params, s1), p)
         vol = ball_volume(space, s1, params.delta)
         rhs = const * vol ** (inv_p - 1.0)
         reports.append(

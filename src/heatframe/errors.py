@@ -22,10 +22,6 @@ class ResolutionError(HeatframeError):
     """The discretization is too coarse for the requested quantity."""
 
 
-class DegenerateBallError(HeatframeError):
-    """A ball contains no quadrature mass where an average is required."""
-
-
 class ExactnessError(HeatframeError):
     """The quadrature rule cannot represent the requested degree or scale."""
 

@@ -27,7 +27,6 @@ is the smallest unit-ball mass seen on the sample.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,7 +37,6 @@ import numpy as np
 from ._recurrence import gauss_nodes
 from .errors import (
     ContractError,
-    DegenerateBallError,
     DomainError,
     ResolutionError,
     SamplingError,
@@ -274,17 +272,14 @@ def _run_volumes(space: MetricMeasureSpace, centers: np.ndarray, radii: np.ndarr
     return volumes
 
 
-def mean_value(space: MetricMeasureSpace, f: np.ndarray, center: float, r: float) -> float:
-    """Weighted average of nodal values over B(center, r)."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != space.points.shape:
-        raise ContractError("nodal values must align with the space points")
-    d = space.distances_from(center)
-    mask = d < r
-    if not mask.any():
-        raise DegenerateBallError("ball carries no quadrature mass")
-    w = space.weights[mask]
-    return float(np.dot(w, f[mask]) / w.sum())
+def lp_norm(weights: np.ndarray, f: np.ndarray, p: float) -> float:
+    """Weighted L^p norm; p = inf is the sup over nodes."""
+    if p < 1.0:
+        raise DomainError("p must be at least 1")
+    f = np.abs(np.asarray(f, dtype=float))
+    if math.isinf(p):
+        return float(f.max())
+    return float((weights @ f ** p) ** (1.0 / p))
 
 
 @dataclass(frozen=True)
@@ -433,26 +428,3 @@ def verify_ball_growth(
                 )
             )
     return reports
-
-
-def space_to_csv(space: MetricMeasureSpace, path: str) -> None:
-    """Write the quadrature rule as CSV with columns point, weight."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["point", "weight"])
-        for p, w in zip(space.points, space.weights):
-            writer.writerow([repr(float(p)), repr(float(w))])
-
-
-def space_from_csv(path: str, metric_kind: str = METRIC_EUCLIDEAN) -> MetricMeasureSpace:
-    """Read a space back from the point, weight CSV layout."""
-    points: list[float] = []
-    weights: list[float] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != ["point", "weight"]:
-            raise DomainError("expected CSV header: point, weight")
-        for row in reader:
-            points.append(float(row["point"]))
-            weights.append(float(row["weight"]))
-    return MetricMeasureSpace(points=np.array(points), weights=np.array(weights), metric_kind=metric_kind)

@@ -176,7 +176,6 @@ def verify_semigroup(
 
 
 def verify_eigen_action(
-    space: MetricMeasureSpace,
     basis: SpectralBasis,
     t: float,
     max_index: int,
@@ -189,7 +188,7 @@ def verify_eigen_action(
     worst = 0.0
     worst_i = 0
     for i in range(max_index + 1):
-        image = apply_heat(space, kernel, basis.values[i])
+        image = apply_heat(basis.space, kernel, basis.values[i])
         defect = float(np.abs(image - math.exp(-basis.eigenvalues[i] * t) * basis.values[i]).max())
         if defect > worst:
             worst = defect
@@ -221,7 +220,6 @@ def _split_slope(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
 
 
 def fit_gaussian_bounds(
-    space: MetricMeasureSpace,
     basis: SpectralBasis,
     t_grid: Sequence[float],
     pairs: Sequence[tuple[float, float]],
@@ -249,6 +247,7 @@ def fit_gaussian_bounds(
         raise ExactnessError(
             f"spectral tail {worst_tail:.2e} at t = {min(t_grid)} exceeds {tail_tol:.1e}; raise the degree"
         )
+    space = basis.space
     idx1 = _nearest_indices(space, [p[0] for p in pairs])
     idx2 = _nearest_indices(space, [p[1] for p in pairs])
     dists = space.node_distances(idx1, idx2)
@@ -297,7 +296,6 @@ def fit_gaussian_bounds(
 
 
 def verify_holder(
-    space: MetricMeasureSpace,
     basis: SpectralBasis,
     t_grid: Sequence[float],
     triples: Sequence[tuple[float, float, float]],
@@ -328,8 +326,9 @@ def verify_holder(
     if decay_rate is None:
         base_pairs = [(s1, s2) for s1, s2, _ in triples]
         decay_rate = float(
-            fit_gaussian_bounds(space, basis, t_grid, base_pairs, tail_tol=tail_tol).context["a"]
+            fit_gaussian_bounds(basis, t_grid, base_pairs, tail_tol=tail_tol).context["a"]
         )
+    space = basis.space
     idx1 = _nearest_indices(space, [tr[0] for tr in triples])
     idx2 = _nearest_indices(space, [tr[1] for tr in triples])
     idx3 = _nearest_indices(space, [tr[2] for tr in triples])

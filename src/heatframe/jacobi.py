@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._recurrence import evaluate_orthonormal
+from ._recurrence import JacobiParams, evaluate_orthonormal
 from .errors import (
     ContractError,
     DomainError,
@@ -43,18 +43,6 @@ from .reporting import VerificationReport, make_report
 
 _ORTHO_TOL = 1e-10
 _COEFF_CUTOFF = 1e-12
-
-
-@dataclass(frozen=True)
-class JacobiParams:
-    """Weight exponents; both must exceed -1 for the measure to be finite."""
-
-    gamma: float
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if self.gamma <= -1.0 or self.alpha <= -1.0:
-            raise DomainError("weight exponents must exceed -1")
 
 
 def eigenvalue(i: int, params: JacobiParams) -> float:
@@ -239,7 +227,6 @@ def random_polynomials(
 
 
 def verify_poincare(
-    space: MetricMeasureSpace,
     basis: SpectralBasis,
     balls: Sequence[tuple[float, float]],
     rng: np.random.Generator,
@@ -256,13 +243,12 @@ def verify_poincare(
     both sides vanish are skipped.  The fit passes when K stays finite; a
     second report checks K against an explicit candidate when one is given.
     """
-    if basis.space is not space:
-        raise ContractError("basis was built on a different space")
     if not balls:
         raise SamplingError("need at least one ball")
     for _, r in balls:
         if not (0.0 < r <= 1.0):
             raise DomainError("ball radii must lie in (0, 1]")
+    space = basis.space
     fs = random_polynomials(basis, n_functions, max_degree, rng)
     w = space.weights
     x = space.points
@@ -304,16 +290,3 @@ def verify_poincare(
             make_report("poincare.bound", K_fit, float(K_candidate), context=context)
         )
     return reports
-
-
-def basis_to_csv(basis: SpectralBasis, path: str) -> None:
-    """Write rows (i, beta_i, nodal values...) with a labeled header."""
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "beta_i"] + [f"node_{j}" for j in range(basis.space.n)])
-        for i in range(basis.size):
-            row = [str(i), repr(float(basis.eigenvalues[i]))]
-            row.extend(repr(float(v)) for v in basis.values[i])
-            writer.writerow(row)

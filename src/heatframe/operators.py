@@ -30,20 +30,10 @@ import numpy as np
 
 from .envelope import EnvelopeParams, envelope_matrix
 from .errors import ContractError, DomainError, PreconditionError
-from .geometry import DoublingProfile, MetricMeasureSpace
+from .geometry import DoublingProfile, MetricMeasureSpace, lp_norm
 from .jacobi import SpectralBasis, coefficients, multiplier_table, synthesize
 from .nets import Net, cell_masses
 from .reporting import VerificationReport, make_report
-
-
-def lp_norm(weights: np.ndarray, f: np.ndarray, p: float) -> float:
-    """Weighted L^p norm; p = inf is the sup over nodes."""
-    if p < 1.0:
-        raise DomainError("p must be at least 1")
-    f = np.abs(np.asarray(f, dtype=float))
-    if math.isinf(p):
-        return float(f.max())
-    return float((weights @ f ** p) ** (1.0 / p))
 
 
 @dataclass(frozen=True)
@@ -60,13 +50,6 @@ class KernelOperator:
 
     table: np.ndarray
     domination: DominationCertificate | None = None
-
-
-def make_operator(table: np.ndarray) -> KernelOperator:
-    table = np.asarray(table, dtype=float)
-    if table.ndim != 2 or table.shape[0] != table.shape[1]:
-        raise ContractError("kernel table must be square")
-    return KernelOperator(table=table)
 
 
 def dominated_operator(

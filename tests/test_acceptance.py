@@ -93,10 +93,10 @@ def test_criterion_02_semigroup_identity(legendre_space, legendre_basis):
     )
 
 
-def test_criterion_03_eigenfunction_action(legendre_space, legendre_basis):
+def test_criterion_03_eigenfunction_action(legendre_basis):
     worst = 0.0
     for t in (0.1, 0.5):
-        report = verify_eigen_action(legendre_space, legendre_basis, t, 10)
+        report = verify_eigen_action(legendre_basis, t, 10)
         worst = max(worst, report.lhs)
         assert report.passed
     exact_beta_1 = eigenvalue(1, JacobiParams(0.0, 0.0))
@@ -219,15 +219,15 @@ def test_criterion_06_young_bound(legendre_space, legendre_basis):
     )
 
 
-def test_criterion_07_gaussian_fit_stability(legendre_space, legendre_basis):
+def test_criterion_07_gaussian_fit_stability(legendre_basis):
     rng = np.random.default_rng(314)
     theta = rng.uniform(0.0, math.pi, size=(150, 2))
     pairs = [tuple(np.cos(row)) for row in theta]
     t_grid = (0.05, 0.1, 0.2, 0.5, 1.0)
-    base = fit_gaussian_bounds(legendre_space, legendre_basis, t_grid, pairs)
+    base = fit_gaussian_bounds(legendre_basis, t_grid, pairs)
     big_space = make_jacobi_space(0.0, 0.0, 128)
     big_basis = build_basis(big_space, JacobiParams(0.0, 0.0), 80)
-    refined = fit_gaussian_bounds(big_space, big_basis, t_grid, pairs)
+    refined = fit_gaussian_bounds(big_basis, t_grid, pairs)
     keys = ("K", "a", "c1_prime", "c1")
     finite = all(
         math.isfinite(ctx[key])

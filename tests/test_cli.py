@@ -1,7 +1,9 @@
 """Command-line entry points: schema, artifacts, exit codes."""
 
+import contextlib
 import csv
 import importlib.util
+import io
 import itertools
 import json
 import math
@@ -9,10 +11,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from heatframe import DomainError, load_net
 from heatframe import cli
-from heatframe.cli import RunConfig, build_parser, config_from_args, main
+from heatframe.cli import RunConfig, build_parser, main
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -33,7 +37,7 @@ def test_parser_round_trip():
     args = build_parser().parse_args(
         ["verify", "--gamma", "0.5", "--alpha", "-0.3", "--seed", "9"]
     )
-    config = config_from_args(args)
+    config = RunConfig(**vars(args))
     assert config.command == "verify"
     assert config.gamma == 0.5 and config.alpha == -0.3 and config.seed == 9
 
@@ -140,3 +144,44 @@ def test_benchmark_sweep_grid_passes_validation(monkeypatch):
         RunConfig(
             gamma=gamma, alpha=alpha, n_nodes=n, degree=math.floor(0.8 * n), t=t, delta=delta
         ).validate()
+
+
+WEIGHT_EXPONENTS = st.floats(-1.0, 12.0, exclude_min=True, allow_nan=False)
+
+
+@st.composite
+def nodes_and_degree(draw):
+    """A node count and a degree up to the exactness limit, from a little
+    below the flat weight's spectral-tail floor of 24."""
+    nodes = draw(st.integers(23, 96))
+    return nodes, draw(st.integers(22, nodes - 1))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    gamma=WEIGHT_EXPONENTS,
+    alpha=WEIGHT_EXPONENTS,
+    size=nodes_and_degree(),
+    delta=st.floats(0.05, 1.0),
+    t=st.floats(0.05, 2.0),
+    sigma=st.none() | st.floats(0.5, 30.0),
+    k_override=st.none() | st.integers(1, 8),
+)
+def test_verify_fuzz_ends_in_verdict_or_one_error_line(gamma, alpha, size, delta, t, sigma, k_override):
+    nodes, degree = size
+    # "--alpha=-1e-05": argparse reads a separate "-1e-05" as an option
+    argv = ["verify", f"--gamma={gamma!r}", f"--alpha={alpha!r}", f"--nodes={nodes}",
+            f"--degree={degree}", f"--delta={delta!r}", f"--t={t!r}"]
+    if sigma is not None:
+        argv.append(f"--sigma={sigma!r}")
+    if k_override is not None:
+        argv.append(f"--k-override={k_override}")
+    out, err = io.StringIO(), io.StringIO()
+    # an uncaught exception propagates out of main and fails the example
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+        assert len(errors) == 1

@@ -15,8 +15,9 @@ from heatframe import (
     MetricMeasureSpace,
     constants_for,
     envelope,
-    envelope_lp_norm,
     envelope_matrix,
+    envelope_profile,
+    lp_norm,
     make_jacobi_space,
     verify_envelope_lp,
     verify_envelope_scaling,
@@ -108,7 +109,7 @@ def test_lp_norm_definition_matches_direct_sum():
     s1 = 0.4
     row = np.array([envelope(SPACE, params, s1, s2) for s2 in SPACE.points])
     direct = float((SPACE.weights @ row**2) ** 0.5)
-    assert envelope_lp_norm(SPACE, params, s1, 2.0) == pytest.approx(direct, rel=1e-13)
+    assert lp_norm(SPACE.weights, envelope_profile(SPACE, params, s1), 2.0) == pytest.approx(direct, rel=1e-13)
 
 
 def test_scaling_reports_pass_both_directions():

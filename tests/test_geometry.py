@@ -11,7 +11,6 @@ from heatframe import (
     METRIC_ARCCOS,
     METRIC_EUCLIDEAN,
     METRIC_TABLE,
-    DegenerateBallError,
     DomainError,
     MetricMeasureSpace,
     ResolutionError,
@@ -19,9 +18,6 @@ from heatframe import (
     ball_volumes_at_nodes,
     estimate_doubling,
     make_jacobi_space,
-    mean_value,
-    space_from_csv,
-    space_to_csv,
     verify_ball_growth,
 )
 
@@ -211,15 +207,6 @@ def test_node_distances_equal_table_entries(legendre_space):
     assert np.array_equal(legendre_space.node_distances(i, j), legendre_space.distance_matrix[i, j])
 
 
-def test_mean_value_hand_oracle():
-    space = _table_space()
-    f = np.array([0.0, 6.0, 0.0])
-    assert mean_value(space, f, 1.0, 1.5) == pytest.approx(12.0 / 7.0)
-    assert mean_value(space, np.full(3, 3.5), 0.0, 1.5) == pytest.approx(3.5)
-    with pytest.raises(DegenerateBallError):
-        mean_value(space, f, 0.0, 0.0)
-
-
 def test_uniform_line_has_dimension_one():
     # Equal masses on an evenly spaced line: volume grows linearly in r.
     n, h = 200, 0.01
@@ -267,10 +254,3 @@ def test_ball_growth_reports_pass(legendre_space):
         "growth.floor",
     }
 
-
-def test_csv_round_trip(tmp_path, legendre_space):
-    path = tmp_path / "space.csv"
-    space_to_csv(legendre_space, str(path))
-    loaded = space_from_csv(str(path), metric_kind=METRIC_ARCCOS)
-    assert np.array_equal(loaded.points, legendre_space.points)
-    assert np.array_equal(loaded.weights, legendre_space.weights)

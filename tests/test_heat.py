@@ -156,21 +156,17 @@ def test_factored_kernel_matches_neumann_closed_form():
         assert np.abs(entries - closed).max() <= 1e-12 * np.abs(closed).max()
 
 
-def test_eigenfunction_action(legendre_space, legendre_basis):
+def test_eigenfunction_action(legendre_basis):
     for t in (0.1, 0.5):
-        report = verify_eigen_action(legendre_space, legendre_basis, t, 10)
+        report = verify_eigen_action(legendre_basis, t, 10)
         assert report.passed
         assert report.lhs <= 1e-9
 
 
-def test_gaussian_fit_produces_finite_positive_constants(
-    legendre_space, legendre_basis, rng
-):
+def test_gaussian_fit_produces_finite_positive_constants(legendre_basis, rng):
     theta = rng.uniform(0.0, math.pi, size=(80, 2))
     pairs = [tuple(np.cos(row)) for row in theta]
-    report = fit_gaussian_bounds(
-        legendre_space, legendre_basis, (0.1, 0.5, 1.0), pairs
-    )
+    report = fit_gaussian_bounds(legendre_basis, (0.1, 0.5, 1.0), pairs)
     assert report.passed
     ctx = report.context
     for key in ("K", "a", "c1_prime", "c1"):
@@ -183,28 +179,25 @@ def test_gaussian_fit_produces_finite_positive_constants(
 def test_gaussian_fit_rejects_visible_truncation(legendre_space):
     shallow = build_basis(legendre_space, JacobiParams(0.0, 0.0), 10)
     with pytest.raises(ExactnessError):
-        fit_gaussian_bounds(legendre_space, shallow, (0.05,), [(0.0, 0.5)])
+        fit_gaussian_bounds(shallow, (0.05,), [(0.0, 0.5)])
 
 
-def test_holder_exponent_is_positive(legendre_space, legendre_basis, rng):
+def test_holder_exponent_is_positive(legendre_basis, rng):
     triples = []
     for _ in range(40):
         s1, s2 = rng.uniform(-0.9, 0.9, size=2)
         theta = math.acos(s2) + rng.uniform(0.02, 0.2)
         triples.append((float(s1), float(s2), math.cos(min(theta, math.pi))))
-    report = verify_holder(legendre_space, legendre_basis, (0.1, 0.5), triples)
+    report = verify_holder(legendre_basis, (0.1, 0.5), triples)
     assert report.passed
     assert report.context["gamma_H"] > 0.0
     assert math.isfinite(report.context["K_H"])
 
 
-def test_holder_requires_admissible_triples(legendre_space, legendre_basis):
+def test_holder_requires_admissible_triples(legendre_basis):
     # A move of size ~pi can never satisfy d <= sqrt(t) for t <= 1.
     with pytest.raises(SamplingError):
-        verify_holder(
-            legendre_space, legendre_basis, (0.1,), [(0.0, 0.99, -0.99)],
-            decay_rate=0.5,
-        )
+        verify_holder(legendre_basis, (0.1,), [(0.0, 0.99, -0.99)], decay_rate=0.5)
 
 
 def test_kernel_csv_round_trip(tmp_path, legendre_basis):

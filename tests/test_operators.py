@@ -10,6 +10,7 @@ from heatframe import (
     ContractError,
     DomainError,
     EnvelopeParams,
+    KernelOperator,
     PreconditionError,
     apply_operator,
     band_decompose,
@@ -21,7 +22,6 @@ from heatframe import (
     estimate_doubling,
     heat_kernel,
     lp_norm,
-    make_operator,
     random_polynomials,
     spectral_multiplier,
     verify_band_decomposition,
@@ -93,7 +93,7 @@ def test_young_bound_holds_for_heat_kernel(legendre_space, legendre_basis, rng):
         assert report.passed, (p, q, report.margin)
     with pytest.raises(DomainError):
         verify_young(legendre_space, op, profile, 2.0, 1.0, trials)
-    bare = make_operator(op.table)
+    bare = KernelOperator(op.table)
     with pytest.raises(PreconditionError):
         verify_young(legendre_space, bare, profile, 1.0, 2.0, trials)
 
@@ -111,7 +111,7 @@ def test_young_requires_wide_envelope_exponent(legendre_space, legendre_basis, r
 
 
 def test_schur_bound_holds(legendre_space, legendre_basis, rng):
-    op = make_operator(heat_kernel(legendre_basis, 0.3).table)
+    op = KernelOperator(heat_kernel(legendre_basis, 0.3).table)
     trials = random_polynomials(legendre_basis, 10, 16, rng)
     for p, q, r in ((2.0, 2.0, 1.0), (1.0, 2.0, 2.0)):
         report = verify_schur(legendre_space, op, p, q, r, trials)

@@ -10,11 +10,14 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heatframe import DomainError
 from heatframe._recurrence import (
+    JacobiParams,
     evaluate_orthonormal,
     gauss_nodes,
     recurrence_coefficients,
 )
+from heatframe.cli import RunConfig
 
 
 def _reference_tables(gamma, alpha, degree, x):
@@ -154,3 +157,23 @@ def test_rule_keeps_linear_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: JacobiParams(-1, 0),
+        lambda: recurrence_coefficients(0, -1.5, 3),
+        lambda: gauss_nodes(-1, 0, 4),
+        lambda: RunConfig(gamma=-1).validate(),
+    ],
+    ids=["JacobiParams", "recurrence_coefficients", "gauss_nodes", "RunConfig.validate"],
+)
+def test_every_entry_point_rejects_exponents_at_most_minus_one(build, monkeypatch):
+    def scipy_reached(*args):
+        raise AssertionError("the exponents reached scipy unchecked")
+
+    monkeypatch.setattr(scipy.special, "roots_jacobi", scipy_reached)
+    with pytest.raises(DomainError) as excinfo:
+        build()
+    assert str(excinfo.value) == "weight exponents must exceed -1"

@@ -1,14 +1,21 @@
-"""The benchmark tracer wraps program functions by name; each must exist.
+"""The benchmark reaches program functions by name; each must exist.
 
 perfbench/tracer.py skips a function it cannot find, and the benchmark run
 then leaves that layer's metrics out of its result line.  Removing or moving
 a wrapped function therefore needs a benchmark change that updates the
-tracer's tables first.
+tracer's tables first.  The runner and the workload checks import a few
+more names directly.
 """
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from heatframe import fit_gaussian_bounds, verify_eigen_action, verify_holder, verify_poincare
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -28,3 +35,27 @@ def test_every_traced_function_exists():
         if not callable(getattr(importlib.import_module(module_name), name, None))
     ]
     assert missing == []
+
+
+@pytest.mark.parametrize(
+    "module_name, name",
+    [("heatframe.cli", "main"), ("heatframe.geometry", "make_jacobi_space"), ("heatframe.nets", "load_net")],
+)
+def test_names_the_benchmark_imports_exist(module_name, name):
+    assert callable(getattr(importlib.import_module(module_name), name, None))
+
+
+def test_refinement_calls_are_sized_by_their_basis(legendre_basis):
+    """The tracer attributes a verifier call to the refinement pass when the
+    space it works on has the refined node count; verifiers that take only a
+    basis must be sized by ``basis.space``."""
+    tracer = _load_tracer()
+    calls = [
+        (verify_poincare, (legendre_basis, [(0.0, 0.5)], np.random.default_rng(0))),
+        (fit_gaussian_bounds, (legendre_basis, (0.1,), [(0.0, 0.5)])),
+        (verify_holder, (legendre_basis, (0.1,), [(0.0, 0.5, 0.4)])),
+        (verify_eigen_action, (legendre_basis, 0.1, 3)),
+    ]
+    for fn, args in calls:
+        inspect.signature(fn).bind(*args)  # the tuple is a valid call
+        assert tracer.space_size(args, {}) == legendre_basis.space.n
