@@ -8,8 +8,6 @@ from .envelope import (
     EstimateConstants,
     constants_for,
     envelope,
-    envelope_matrix,
-    envelope_profile,
     verify_envelope_lp,
     verify_envelope_scaling,
     verify_lemma_integrals,
@@ -20,7 +18,6 @@ from .errors import (
     ExactnessError,
     HeatframeError,
     PreconditionError,
-    ResolutionError,
     SamplingError,
     TruncationError,
     TruncationWarning,

@@ -5,9 +5,9 @@ The envelope at scale delta with decay exponent sigma_exp is
     E(s1, s2) = (sigma(B(s1, delta)) sigma(B(s2, delta)))^(-1/2)
                 * (1 + d(s1, s2)/delta)^(-sigma_exp),
 
-the standard majorant for kernels localized at scale delta on a space with
-doubling exponent k.  The companion constants, all explicit in (k, sigma_exp),
-are
+at nodes s1, s2 of the space, the standard majorant for kernels localized at
+scale delta on a space with doubling exponent k.  The companion constants,
+all explicit in (k, sigma_exp), are
 
     a1      = (2^-k - 2^-sigma_exp)^-1                    (sigma_exp > k)
     a2      = 2^(sigma_exp+k+1) / (2^-k - 2^(k-sigma_exp)) (sigma_exp > 2k)
@@ -16,7 +16,7 @@ are
 
 controlling the decay integral, envelope self-reproduction, and the L^p
 norms of envelope slices.  The verifiers below check each printed inequality
-on explicit samples and report margins.
+on node samples, given as node indices, and report margins.
 """
 from __future__ import annotations
 
@@ -27,10 +27,9 @@ from typing import Sequence
 import numpy as np
 
 from ._parallel import ordered_map
-from .errors import DomainError, ResolutionError, SamplingError
-from .geometry import MetricMeasureSpace, ball_volume, ball_volumes_at_nodes, lp_norm
+from .errors import DomainError, SamplingError
+from .geometry import MetricMeasureSpace, ball_volumes_at_nodes, lp_norm
 from .reporting import VerificationReport, make_report
-
 
 
 @dataclass(frozen=True)
@@ -98,60 +97,43 @@ def constants_for(params: EnvelopeParams) -> EstimateConstants:
     return EstimateConstants(k=params.k, sigma_exp=params.sigma_exp)
 
 
-def envelope(space: MetricMeasureSpace, params: EnvelopeParams, s1: float, s2: float) -> float:
-    """E(s1, s2) at scale params.delta with exponent params.sigma_exp."""
-    vol1 = ball_volume(space, s1, params.delta)
-    vol2 = ball_volume(space, s2, params.delta)
-    if vol1 <= 0.0 or vol2 <= 0.0:
-        raise ResolutionError("envelope needs positive ball mass at both slots")
-    d = space.distance(s1, s2)
-    return (vol1 * vol2) ** -0.5 * (1.0 + d / params.delta) ** -params.sigma_exp
-
-
-def envelope_profile(space: MetricMeasureSpace, params: EnvelopeParams, s: float) -> np.ndarray:
-    """E(s, x_j) over all nodes x_j, vectorized through the node ball table."""
+def envelope(space: MetricMeasureSpace, params: EnvelopeParams, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """E(x_i, x_j) over node indices broadcast against each other."""
     vols = ball_volumes_at_nodes(space, params.delta)
-    if np.any(vols <= 0.0):
-        raise ResolutionError("a node ball at scale delta carries no mass")
-    vol_s = ball_volume(space, s, params.delta)
-    if vol_s <= 0.0:
-        raise ResolutionError("center ball at scale delta carries no mass")
-    d = space.distances_from(s)
-    return (vol_s * vols) ** -0.5 * (1.0 + d / params.delta) ** -params.sigma_exp
-
-
-def envelope_matrix(space: MetricMeasureSpace, params: EnvelopeParams) -> np.ndarray:
-    """E(x_i, x_j) over all node pairs."""
-    vols = ball_volumes_at_nodes(space, params.delta)
-    if np.any(vols <= 0.0):
-        raise ResolutionError("a node ball at scale delta carries no mass")
-    scale = (vols[:, None] * vols[None, :]) ** -0.5
-    return scale * (1.0 + space.distance_matrix / params.delta) ** -params.sigma_exp
+    d = space.node_distances(i, j)
+    return (vols[i] * vols[j]) ** -0.5 * (1.0 + d / params.delta) ** -params.sigma_exp
 
 
 def verify_envelope_lp(
     space: MetricMeasureSpace,
     params: EnvelopeParams,
     p: float,
-    sample_points: Sequence[float],
+    sample_nodes: Sequence[int],
 ) -> list[VerificationReport]:
-    """Check ||E(s1, .)||_p <= a_p(p) sigma(B(s1, delta))^(1/p - 1) on samples."""
-    if len(sample_points) == 0:
+    """Check ||E(x_i, .)||_p <= a_p(p) sigma(B(x_i, delta))^(1/p - 1) on sampled nodes."""
+    if len(sample_nodes) == 0:
         raise SamplingError("need at least one sample point")
     const = constants_for(params).a_p(p)
     inv_p = 0.0 if math.isinf(p) else 1.0 / p
+    vols = ball_volumes_at_nodes(space, params.delta)
+    nodes = np.arange(space.n)
     reports = []
-    for s1 in sample_points:
-        norm = lp_norm(space.weights, envelope_profile(space, params, s1), p)
-        vol = ball_volume(space, s1, params.delta)
-        rhs = const * vol ** (inv_p - 1.0)
+    for i in sample_nodes:
+        norm = lp_norm(space.weights, envelope(space, params, i, nodes), p)
+        rhs = const * vols[i] ** (inv_p - 1.0)
         reports.append(
             make_report(
                 "envelope.lp_norm",
                 norm,
                 rhs,
                 paper_constant=const,
-                context={"s1": s1, "p": p, "delta": params.delta, "sigma_exp": params.sigma_exp, "k": params.k},
+                context={
+                    "s1": space.points[i],
+                    "p": p,
+                    "delta": params.delta,
+                    "sigma_exp": params.sigma_exp,
+                    "k": params.k,
+                },
             )
         )
     return reports
@@ -161,7 +143,7 @@ def verify_envelope_scaling(
     space: MetricMeasureSpace,
     params: EnvelopeParams,
     beta: float,
-    pairs: Sequence[tuple[float, float]],
+    pairs: Sequence[tuple[int, int]],
 ) -> list[VerificationReport]:
     """Compare envelopes across scale changes delta -> beta delta.
 
@@ -178,26 +160,28 @@ def verify_envelope_scaling(
         raise SamplingError("need at least one pair")
     scaled = EnvelopeParams(delta=beta * params.delta, sigma_exp=params.sigma_exp, k=params.k)
     k = params.k
+    i1, i2 = np.array(pairs).T
+    base = envelope(space, params, i1, i2)
+    moved = envelope(space, scaled, i1, i2)
+    d = space.node_distances(i1, i2)
+    vol1 = ball_volumes_at_nodes(space, params.delta)[i1]
+    one_vol_rhs = 2.0 ** (k / 2.0) / vol1 * (1.0 + d / params.delta) ** (params.sigma_exp - k / 2.0)
+    if beta < 1.0:
+        const = (2.0 / beta) ** k
+        check_id = "envelope.shrink"
+    else:
+        const = beta ** params.sigma_exp
+        check_id = "envelope.grow"
+    x = space.points
     reports = []
-    for s1, s2 in pairs:
-        base = envelope(space, params, s1, s2)
-        moved = envelope(space, scaled, s1, s2)
-        if beta < 1.0:
-            const = (2.0 / beta) ** k
-            check_id = "envelope.shrink"
-        else:
-            const = beta ** params.sigma_exp
-            check_id = "envelope.grow"
-        context = {"s1": s1, "s2": s2, "beta": beta, "delta": params.delta, "k": k}
-        reports.append(make_report(check_id, moved, const * base, paper_constant=const, context=context))
-        d = space.distance(s1, s2)
-        vol1 = ball_volume(space, s1, params.delta)
-        one_vol_rhs = 2.0 ** (k / 2.0) / vol1 * (1.0 + d / params.delta) ** (params.sigma_exp - k / 2.0)
+    for m in range(i1.size):
+        context = {"s1": x[i1[m]], "s2": x[i2[m]], "beta": beta, "delta": params.delta, "k": k}
+        reports.append(make_report(check_id, moved[m], const * base[m], paper_constant=const, context=context))
         reports.append(
             make_report(
                 "envelope.one_volume",
-                base,
-                one_vol_rhs,
+                base[m],
+                one_vol_rhs[m],
                 paper_constant=2.0 ** (k / 2.0),
                 context=context,
             )
@@ -208,11 +192,11 @@ def verify_envelope_scaling(
 def verify_lemma_integrals(
     space: MetricMeasureSpace,
     params: EnvelopeParams,
-    pairs: Sequence[tuple[float, float]],
+    pairs: Sequence[tuple[int, int]],
 ) -> list[VerificationReport]:
     """Check the decay-integral family against its printed constants.
 
-    Per (s1, s2) pair, in order of strengthening hypotheses:
+    Per pair of node indices (s1, s2), in order of strengthening hypotheses:
 
     * decay integral (sigma_exp > k):
         int (1 + d(s1, v)/delta)^-sigma_exp  <= a1 sigma(B(s1, delta));
@@ -240,21 +224,18 @@ def verify_lemma_integrals(
     with_a2 = s_exp > 2 * k
     w = space.weights
     vols = ball_volumes_at_nodes(space, delta)
-    if np.any(vols <= 0.0):
-        raise ResolutionError("a node ball at scale delta carries no mass")
+    nodes = np.arange(space.n)
 
-    def one_pair(pair: tuple[float, float]) -> list[VerificationReport]:
+    def one_pair(pair: tuple[int, int]) -> list[VerificationReport]:
         s1, s2 = pair
         out: list[VerificationReport] = []
-        d1 = space.distances_from(s1)
-        d2 = space.distances_from(s2)
-        decay1 = (1.0 + d1 / delta) ** -s_exp
-        decay2 = (1.0 + d2 / delta) ** -s_exp
-        vol1 = ball_volume(space, s1, delta)
-        vol2 = ball_volume(space, s2, delta)
-        d12 = space.distance(s1, s2)
+        decay1 = (1.0 + space.node_distances(s1, nodes) / delta) ** -s_exp
+        decay2 = (1.0 + space.node_distances(s2, nodes) / delta) ** -s_exp
+        vol1 = vols[s1]
+        vol2 = vols[s2]
+        d12 = space.node_distances(s1, s2)
         far = (1.0 + d12 / delta) ** -s_exp
-        context = {"s1": s1, "s2": s2, "delta": delta, "sigma_exp": s_exp, "k": k}
+        context = {"s1": space.points[s1], "s2": space.points[s2], "delta": delta, "sigma_exp": s_exp, "k": k}
         if with_a1:
             a1 = consts.a1
             out.append(
@@ -307,12 +288,10 @@ def verify_lemma_integrals(
                     context=context,
                 )
             )
-            prof1 = (vol1 * vols) ** -0.5 * decay1
-            prof2 = (vol2 * vols) ** -0.5 * decay2
             out.append(
                 make_report(
                     "envelope.self_reproduction",
-                    float(w @ (prof1 * prof2)),
+                    float(w @ (envelope(space, params, s1, nodes) * envelope(space, params, s2, nodes))),
                     a2 * envelope(space, params, s1, s2),
                     paper_constant=a2,
                     context=context,

@@ -18,10 +18,6 @@ class ContractError(HeatframeError):
     """Objects passed together do not fit (shape, space, or net mismatch)."""
 
 
-class ResolutionError(HeatframeError):
-    """The discretization is too coarse for the requested quantity."""
-
-
 class ExactnessError(HeatframeError):
     """The quadrature rule cannot represent the requested degree or scale."""
 

@@ -8,13 +8,14 @@ a metric on the points.  Three metrics are supported:
 * ``euclidean`` d(x, y) = |x - y|;
 * ``custom-table`` an explicit symmetric distance matrix over the points.
 
-Balls are open: B(s, r) = {x : d(s, x) < r}, and sigma(B) is the sum of the
-quadrature weights inside.  Under the arccos and euclidean metrics a ball is
-a contiguous run of the sorted nodes, so its volume is that run's weights
+Balls are open and centred at nodes: B(x_i, r) = {x : d(x_i, x) < r}, and
+sigma(B) is the sum of the quadrature weights inside, computed by
+``ball_volume`` alone.  Under the arccos and euclidean metrics a ball is a
+contiguous run of the sorted nodes, so its volume is that run's weights
 summed directly, in O(N log N) for all node balls at once; only the
-custom-table metric masks rows of an N x N table.  On top of ball volumes the module estimates a
-doubling exponent and checks the three quantitative growth bounds used by
-every later estimate: scaled growth
+custom-table metric masks rows of its N x N table.  On top of ball volumes
+the module estimates a doubling exponent and checks the three quantitative
+growth bounds used by every later estimate: scaled growth
 
     sigma(B(s, beta r)) <= (2 beta)^k sigma(B(s, r)),   beta >= 1,
 
@@ -35,12 +36,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._recurrence import gauss_nodes
-from .errors import (
-    ContractError,
-    DomainError,
-    ResolutionError,
-    SamplingError,
-)
+from .errors import ContractError, DomainError, SamplingError
 from .reporting import VerificationReport, make_report
 
 METRIC_ARCCOS = "arccos"
@@ -49,7 +45,6 @@ METRIC_TABLE = "custom-table"
 _METRIC_KINDS = (METRIC_ARCCOS, METRIC_EUCLIDEAN, METRIC_TABLE)
 
 _TRIANGLE_TOL = 1e-12
-_MATCH_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -156,32 +151,15 @@ class MetricMeasureSpace:
             return self.dist_table[i, j]
         return np.abs(self._coords[i] - self._coords[j])
 
-    def _locate(self, center: float) -> int:
-        idx = int(np.argmin(np.abs(self.points - center)))
-        if abs(self.points[idx] - center) > _MATCH_TOL:
-            raise DomainError("custom-table metric only measures distances from stored points")
-        return idx
-
     def distances_from(self, center: float) -> np.ndarray:
-        """Distances from an arbitrary coordinate to every space point."""
+        """Distances from a coordinate, not necessarily a node, to every node."""
         if self.metric_kind == METRIC_TABLE:
-            return self.dist_table[self._locate(center)]
+            raise DomainError("custom-table metric only measures distances between nodes")
         if self.metric_kind == METRIC_ARCCOS:
             if center < -1.0 or center > 1.0:
                 raise DomainError("arccos metric needs a center in [-1, 1]")
             return np.abs(self._theta - math.acos(center))
         return np.abs(self.points - float(center))
-
-    def distance(self, a: float, b: float) -> float:
-        """Metric distance between two coordinates."""
-        if self.metric_kind == METRIC_TABLE:
-            return float(self.dist_table[self._locate(a), self._locate(b)])
-        if self.metric_kind == METRIC_ARCCOS:
-            for value in (a, b):
-                if value < -1.0 or value > 1.0:
-                    raise DomainError("arccos metric needs coordinates in [-1, 1]")
-            return abs(math.acos(a) - math.acos(b))
-        return abs(float(a) - float(b))
 
 
 def make_jacobi_space(gamma: float, alpha: float, n_nodes: int) -> MetricMeasureSpace:
@@ -197,33 +175,31 @@ def make_jacobi_space(gamma: float, alpha: float, n_nodes: int) -> MetricMeasure
     return MetricMeasureSpace(points=x, weights=w, metric_kind=METRIC_ARCCOS)
 
 
-def ball_volume(space: MetricMeasureSpace, center: float, r: float) -> float:
-    """Quadrature mass of the open ball B(center, r)."""
-    if r < 0.0:
+def ball_volume(space: MetricMeasureSpace, nodes: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """sigma(B(x_i, r)) over node indices and radii broadcast against each other.
+
+    An open ball of positive radius holds its own center, so it has positive
+    mass; radius 0 gives the empty ball.
+    """
+    nodes, radii = np.broadcast_arrays(np.asarray(nodes), np.asarray(radii, dtype=float))
+    if np.any(radii < 0.0):
         raise DomainError("radius must be nonnegative")
-    if r == 0.0:
-        return 0.0
-    d = space.distances_from(center)
-    return float(space.weights[d < r].sum())
+    if space.metric_kind == METRIC_TABLE:
+        return (space.dist_table[nodes] < radii[..., None]) @ space.weights
+    volumes = _run_volumes(space, space._coords[nodes.ravel()], radii.ravel())
+    return volumes.reshape(radii.shape)
 
 
 def ball_volumes_at_nodes(space: MetricMeasureSpace, r: float) -> np.ndarray:
-    """sigma(B(x_j, r)) for every node x_j at once.
+    """``ball_volume`` at every node for one radius.
 
     The vector is memoised on the space per radius and returned read-only:
     a verdict asks for the same few radii many times.
     """
-    if r < 0.0:
-        raise DomainError("radius must be nonnegative")
     r = float(r)
     volumes = space._node_ball_volumes.get(r)
     if volumes is None:
-        if r == 0.0:
-            volumes = np.zeros(space.n)
-        elif space.metric_kind == METRIC_TABLE:
-            volumes = (space.distance_matrix < r) @ space.weights
-        else:
-            volumes = _run_volumes(space, space._coords, np.full(space.n, r))
+        volumes = ball_volume(space, np.arange(space.n), r)
         volumes.flags.writeable = False
         space._node_ball_volumes[r] = volumes
     return volumes
@@ -233,8 +209,8 @@ def _run_volumes(space: MetricMeasureSpace, centers: np.ndarray, radii: np.ndarr
     """sigma(B(c_i, r_i)) under an interval metric, from the sorted nodes.
 
     ``centers`` are metric coordinates (theta under arccos), ``radii`` are
-    positive and of the same length.  An open ball is a contiguous run of the
-    sorted nodes, since rounding keeps |s - c| monotone on each side of c.
+    nonnegative and of the same length.  An open ball is a contiguous run of
+    the sorted nodes, since rounding keeps |s - c| monotone on each side of c.
     searchsorted places the run's ends to within a rounding; the open-ball
     predicate |s - c| < r, evaluated as the distance functions evaluate it,
     then settles each end exactly.  Each run is summed directly: a prefix-sum
@@ -320,37 +296,28 @@ class DoublingProfile:
 
 def estimate_doubling(
     space: MetricMeasureSpace,
-    centers: Sequence[float],
+    centers: Sequence[int],
     radii: Sequence[float],
 ) -> DoublingProfile:
-    """Measure doubling ratios sigma(B(s, 2r))/sigma(B(s, r)) over a sample.
+    """Measure doubling ratios sigma(B(x_i, 2r))/sigma(B(x_i, r)) over a sample.
 
-    Every (center, radius) pair must produce a ball with positive mass; a
-    zero-mass inner ball means the grid cannot resolve the radius.  The
-    reverse exponent alpha_hat is read off the radii not exceeding
+    ``centers`` are node indices, so every inner ball holds its center's
+    mass.  The reverse exponent alpha_hat is read off the radii not exceeding
     diameter/3 (ratios there are bounded away from 1 on a connected space);
     if no sampled radius qualifies it degrades to the trivial value 0.
     """
-    centers = list(centers)
-    radii = [float(r) for r in radii]
-    if not centers or not radii:
+    centers = np.asarray(centers)
+    radii = np.asarray(radii, dtype=float)
+    if centers.size == 0 or radii.size == 0:
         raise SamplingError("need at least one center and one radius")
-    if any(r <= 0.0 for r in radii):
+    if np.any(radii <= 0.0):
         raise DomainError("radii must be positive")
-    reverse_cut = space.diameter / 3.0
-    radii_row = np.array(radii)
-    grid = np.broadcast_to(radii_row, (len(centers), radii_row.size))
-    unit_masses = _center_volumes(space, centers, np.ones((len(centers), 1)))
-    inner = _center_volumes(space, centers, grid)
-    if np.any(inner <= 0.0):
-        raise ResolutionError("ball with zero mass; grid too coarse for the radius")
-    ratios = _center_volumes(space, centers, 2.0 * grid) / inner
-    reverse_ratios = ratios[:, radii_row <= reverse_cut]
+    grid = centers[:, None]
+    ratios = ball_volume(space, grid, 2.0 * radii) / ball_volume(space, grid, radii)
+    reverse_ratios = ratios[:, radii <= space.diameter / 3.0]
     k_hat = math.log2(float(ratios.max()))
     alpha_hat = math.log2(float(reverse_ratios.min())) if reverse_ratios.size else 0.0
-    a_noncollapse = float(unit_masses.min())
-    if a_noncollapse <= 0.0:
-        raise ResolutionError("a sampled unit ball carries no mass")
+    a_noncollapse = float(ball_volume(space, centers, 1.0).min())
     return DoublingProfile(
         k_hat=k_hat,
         alpha_hat=alpha_hat,
@@ -359,72 +326,62 @@ def estimate_doubling(
     )
 
 
-def _center_volumes(space: MetricMeasureSpace, centers: list[float], radii: np.ndarray) -> np.ndarray:
-    """sigma(B(centers[i], radii[i, j])) for coordinate centers, as ``ball_volume`` measures them."""
-    if space.metric_kind == METRIC_TABLE:
-        dists = np.array([space.distances_from(c) for c in centers])
-        return np.stack([(dists < r[:, None]) @ space.weights for r in radii.T], axis=1)
-    if space.metric_kind == METRIC_ARCCOS:
-        if any(c < -1.0 or c > 1.0 for c in centers):
-            raise DomainError("arccos metric needs a center in [-1, 1]")
-        coords = np.array([math.acos(c) for c in centers])
-    else:
-        coords = np.array(centers, dtype=float)
-    flat = np.broadcast_to(coords[:, None], radii.shape).ravel()
-    return _run_volumes(space, flat, radii.ravel()).reshape(radii.shape)
-
-
 def verify_ball_growth(
     space: MetricMeasureSpace,
     profile: DoublingProfile,
-    samples: Iterable[tuple[float, float, float, float]],
+    samples: Iterable[tuple[int, int, float, float]],
 ) -> list[VerificationReport]:
-    """Check the three growth bounds on (s1, s2, r, beta) samples.
+    """Check the three growth bounds on (i1, i2, r, beta) samples, i1 and i2
+    node indices.
 
     Uses k = profile.k (the integer roundup) in every constant.  The volume
     floor is only asserted for r <= 1, its stated range.
     """
+    samples = list(samples)
+    if not samples:
+        raise SamplingError("need at least one growth sample")
+    i1, i2, r, beta = (np.array(column) for column in zip(*samples))
+    if np.any(r <= 0.0):
+        raise DomainError("growth samples need positive radii")
+    if np.any(beta < 1.0):
+        raise DomainError("growth samples need beta >= 1")
+    vol_r, vol_beta, vol_other = ball_volume(space, np.stack([i1, i1, i2]), np.stack([r, beta * r, r]))
+    d12 = space.node_distances(i1, i2)
     k = profile.k
     a_floor = 2.0 ** (-k) * profile.a_noncollapse
+    x = space.points
     reports: list[VerificationReport] = []
-    for s1, s2, r, beta in samples:
-        if r <= 0.0:
-            raise DomainError("growth samples need positive radii")
-        if beta < 1.0:
-            raise DomainError("growth samples need beta >= 1")
-        d12 = space.distance(s1, s2)
-        vol_r = ball_volume(space, s1, r)
-        vol_beta = ball_volume(space, s1, beta * r)
-        scaled_const = (2.0 * beta) ** k
+    for m in range(r.size):
+        s1, s2 = x[i1[m]], x[i2[m]]
+        scaled_const = (2.0 * beta[m]) ** k
         reports.append(
             make_report(
                 "growth.scaled",
-                vol_beta,
-                scaled_const * vol_r,
+                vol_beta[m],
+                scaled_const * vol_r[m],
                 paper_constant=scaled_const,
-                context={"s1": s1, "r": r, "beta": beta, "k": k},
+                context={"s1": s1, "r": r[m], "beta": beta[m], "k": k},
             )
         )
-        vol_other = ball_volume(space, s2, r)
-        shift_const = 2.0 ** k * (1.0 + d12 / r) ** k
+        shift_const = 2.0 ** k * (1.0 + d12[m] / r[m]) ** k
         reports.append(
             make_report(
                 "growth.shifted",
-                vol_r,
-                shift_const * vol_other,
+                vol_r[m],
+                shift_const * vol_other[m],
                 paper_constant=shift_const,
-                context={"s1": s1, "s2": s2, "r": r, "k": k},
+                context={"s1": s1, "s2": s2, "r": r[m], "k": k},
             )
         )
-        if r <= 1.0:
+        if r[m] <= 1.0:
             reports.append(
                 make_report(
                     "growth.floor",
-                    vol_r,
-                    a_floor * r ** k,
+                    vol_r[m],
+                    a_floor * r[m] ** k,
                     lower=True,
                     paper_constant=a_floor,
-                    context={"s1": s1, "r": r, "k": k},
+                    context={"s1": s1, "r": r[m], "k": k},
                 )
             )
     return reports

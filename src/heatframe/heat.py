@@ -54,26 +54,26 @@ class HeatKernelEval:
     tail_bound: float
 
 
-def _decay(basis: SpectralBasis, t: float, tail_tol: float) -> np.ndarray:
+def _decay(basis: SpectralBasis, t: float) -> np.ndarray:
     """exp(-beta_i t) over the basis; warns the caller of the kernel builder
     if the spectral tail is not negligible at this t."""
     if t <= 0.0:
         raise DomainError("time must be positive")
     decay = np.exp(-basis.eigenvalues * t)
     tail = float(decay[-1])
-    if tail > tail_tol:
+    if tail > TAIL_TOL:
         warnings.warn(
-            f"spectral tail exp(-beta_N t) = {tail:.2e} exceeds {tail_tol:.1e} at t = {t}",
+            f"spectral tail exp(-beta_N t) = {tail:.2e} exceeds {TAIL_TOL:.1e} at t = {t}",
             TruncationWarning,
             stacklevel=3,
         )
     return decay
 
 
-def heat_kernel(basis: SpectralBasis, t: float, *, tail_tol: float = TAIL_TOL) -> HeatKernelEval:
+def heat_kernel(basis: SpectralBasis, t: float) -> HeatKernelEval:
     """Evaluate h_t on all node pairs; warn if the spectral tail is not
     negligible at this t."""
-    decay = _decay(basis, t, tail_tol)
+    decay = _decay(basis, t)
     return HeatKernelEval(
         t=float(t),
         table=multiplier_table(basis.values, decay),
@@ -114,9 +114,9 @@ class FactoredKernel:
         return self.decay @ (self.rows * self.rows)
 
 
-def factored_kernel(basis: SpectralBasis, t: float, *, tail_tol: float = TAIL_TOL) -> FactoredKernel:
+def factored_kernel(basis: SpectralBasis, t: float) -> FactoredKernel:
     """The factored view of h_t, with the time and tail checks of heat_kernel."""
-    decay = _decay(basis, t, tail_tol)
+    decay = _decay(basis, t)
     keep = int(np.flatnonzero(decay).max(initial=-1)) + 1
     return FactoredKernel(rows=basis.values[:keep], decay=decay[:keep])
 
@@ -223,8 +223,6 @@ def fit_gaussian_bounds(
     basis: SpectralBasis,
     t_grid: Sequence[float],
     pairs: Sequence[tuple[float, float]],
-    *,
-    tail_tol: float = TAIL_TOL,
 ) -> VerificationReport:
     """Fit two-sided Gaussian envelope constants (K, a) and (c1', c1).
 
@@ -243,9 +241,9 @@ def fit_gaussian_bounds(
     if min(t_grid) <= 0.0:
         raise DomainError("times must be positive")
     worst_tail = math.exp(-float(basis.eigenvalues[-1]) * min(t_grid))
-    if worst_tail > tail_tol:
+    if worst_tail > TAIL_TOL:
         raise ExactnessError(
-            f"spectral tail {worst_tail:.2e} at t = {min(t_grid)} exceeds {tail_tol:.1e}; raise the degree"
+            f"spectral tail {worst_tail:.2e} at t = {min(t_grid)} exceeds {TAIL_TOL:.1e}; raise the degree"
         )
     space = basis.space
     idx1 = _nearest_indices(space, [p[0] for p in pairs])
@@ -253,7 +251,7 @@ def fit_gaussian_bounds(
     dists = space.node_distances(idx1, idx2)
 
     def cloud_at(t: float) -> tuple[np.ndarray, np.ndarray]:
-        kernel = factored_kernel(basis, t, tail_tol=tail_tol)
+        kernel = factored_kernel(basis, t)
         vols = ball_volumes_at_nodes(space, math.sqrt(t))
         rho = kernel.entries(idx1, idx2) * np.sqrt(vols[idx1] * vols[idx2])
         u = dists * dists / t
@@ -301,7 +299,6 @@ def verify_holder(
     triples: Sequence[tuple[float, float, float]],
     *,
     decay_rate: float | None = None,
-    tail_tol: float = TAIL_TOL,
 ) -> VerificationReport:
     """Fit the space Hoelder exponent of h_t against the Gaussian envelope.
 
@@ -326,7 +323,7 @@ def verify_holder(
     if decay_rate is None:
         base_pairs = [(s1, s2) for s1, s2, _ in triples]
         decay_rate = float(
-            fit_gaussian_bounds(basis, t_grid, base_pairs, tail_tol=tail_tol).context["a"]
+            fit_gaussian_bounds(basis, t_grid, base_pairs).context["a"]
         )
     space = basis.space
     idx1 = _nearest_indices(space, [tr[0] for tr in triples])
@@ -343,7 +340,7 @@ def verify_holder(
         admissible = (d_move <= sqrt_t) & (d_move > 0.0)
         if not admissible.any():
             continue
-        kernel = factored_kernel(basis, t, tail_tol=tail_tol)
+        kernel = factored_kernel(basis, t)
         floor = 1e-13 * float(kernel.diagonal().max())
         vols = ball_volumes_at_nodes(space, sqrt_t)
         ms = np.nonzero(admissible)[0]

@@ -22,7 +22,7 @@ import numpy as np
 
 from .envelope import EnvelopeParams, envelope
 from .errors import ContractError, DomainError
-from .geometry import MetricMeasureSpace, ball_volume, ball_volumes_at_nodes
+from .geometry import MetricMeasureSpace, ball_volumes_at_nodes
 from .reporting import VerificationReport, make_report
 
 _SEP_TOL = 1e-12
@@ -123,16 +123,17 @@ def cell_masses(space: MetricMeasureSpace, net: Net) -> np.ndarray:
 def verify_net_sums(
     space: MetricMeasureSpace,
     net: Net,
-    s: float,
+    s: int,
     delta_star: float,
     sigma_exp: float,
     k: int,
-    s2: float | None = None,
+    s2: int | None = None,
 ) -> list[VerificationReport]:
     """Check the five center sums against their printed constants.
 
-    With delta the net scale, d_i the distance from the probe point to
-    center i, and |P_i| the cell masses:
+    The probe points s and s2 are node indices.  With delta the net scale,
+    d_i the distance from the probe point to center i, and |P_i| the cell
+    masses:
 
     * cell decay:      sum |P_i| (1 + d_i/delta)^-(k+1)
                          <= 2^(2k+2) sigma(B(s, delta));
@@ -159,12 +160,12 @@ def verify_net_sums(
         s2 = s
     delta = net.delta
     masses = cell_masses(space, net)
-    d_s = space.distances_from(s)[net.centers]
-    d_s2 = space.distances_from(s2)[net.centers]
-    d_pair = space.distance(s, s2)
+    d_s = space.node_distances(s, net.centers)
+    d_s2 = space.node_distances(s2, net.centers)
+    d_pair = space.node_distances(s, s2)
     context = {
-        "s": s,
-        "s2": s2,
+        "s": space.points[s],
+        "s2": space.points[s2],
         "delta": delta,
         "delta_star": delta_star,
         "sigma_exp": sigma_exp,
@@ -177,7 +178,7 @@ def verify_net_sums(
         make_report(
             "net.sum.cell_decay",
             float(masses @ (1.0 + d_s / delta) ** -(k + 1.0)),
-            cell_const * ball_volume(space, s, delta),
+            cell_const * ball_volumes_at_nodes(space, delta)[s],
             paper_constant=cell_const,
             context=context,
         )
@@ -204,10 +205,8 @@ def verify_net_sums(
     )
     if sigma_exp >= 2 * k + 1:
         star = EnvelopeParams(delta=delta_star, sigma_exp=sigma_exp, k=k)
-        vol_s = ball_volume(space, s, delta_star)
-        vol_s2 = ball_volume(space, s2, delta_star)
-        prof_s = (vol_s * center_vols) ** -0.5 * (1.0 + d_s / delta_star) ** -sigma_exp
-        prof_s2 = (vol_s2 * center_vols) ** -0.5 * (1.0 + d_s2 / delta_star) ** -sigma_exp
+        prof_s = envelope(space, star, s, net.centers)
+        prof_s2 = envelope(space, star, s2, net.centers)
         env_const = 2.0 ** (sigma_exp + 3 * k + 3)
         reports.append(
             make_report(

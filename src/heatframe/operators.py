@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .envelope import EnvelopeParams, envelope_matrix
+from .envelope import EnvelopeParams, envelope
 from .errors import ContractError, DomainError, PreconditionError
 from .geometry import DoublingProfile, MetricMeasureSpace, lp_norm
 from .jacobi import SpectralBasis, coefficients, multiplier_table, synthesize
@@ -67,7 +67,8 @@ def dominated_operator(
     table = np.asarray(table, dtype=float)
     if table.shape != (space.n, space.n):
         raise ContractError("kernel table must cover all node pairs")
-    env = envelope_matrix(space, params)
+    nodes = np.arange(space.n)
+    env = envelope(space, params, nodes[:, None], nodes[None, :])
     ratios = np.abs(table) / env
     needed = float(ratios.max())
     if a_prime is None:

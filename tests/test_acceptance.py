@@ -138,7 +138,7 @@ def test_criterion_05_paper_constant_inequality_suite(legendre_space):
     space = legendre_space
     rng = np.random.default_rng(2024)
     radii = rng.uniform(0.05, space.diameter / 3.0, size=12)
-    profile = estimate_doubling(space, space.points, radii)
+    profile = estimate_doubling(space, np.arange(space.n), radii)
     k = profile.k
     sigma = 2 * k + 1.0
     delta = 0.2
@@ -147,8 +147,8 @@ def test_criterion_05_paper_constant_inequality_suite(legendre_space):
 
     growth_samples = [
         (
-            float(rng.uniform(-1, 1)),
-            float(rng.uniform(-1, 1)),
+            int(rng.integers(0, space.n)),
+            int(rng.integers(0, space.n)),
             float(rng.uniform(0.05, 1.0)),
             float(rng.uniform(1.0, 3.0)),
         )
@@ -156,19 +156,17 @@ def test_criterion_05_paper_constant_inequality_suite(legendre_space):
     ]
     reports += verify_ball_growth(space, profile, growth_samples)
 
-    pairs = [tuple(rng.uniform(-1, 1, size=2)) for _ in range(50)]
+    pairs = [tuple(rng.integers(0, space.n, size=2)) for _ in range(50)]
     reports += verify_lemma_integrals(space, params, pairs)
     for beta in (0.5, 2.0):
         reports += verify_envelope_scaling(space, params, beta, pairs)
     for p in (1.0, 2.0, 4.0, math.inf):
-        reports += verify_envelope_lp(space, params, p, np.linspace(-0.95, 0.95, 13))
+        reports += verify_envelope_lp(space, params, p, np.linspace(0, space.n - 1, 13).astype(int))
 
     net = build_partition(space, build_maximal_net(space, delta))
     for _ in range(50):
-        s, s2 = rng.uniform(-1.0, 1.0, size=2)
-        reports += verify_net_sums(
-            space, net, float(s), 2 * delta, sigma, k, s2=float(s2)
-        )
+        s, s2 = rng.integers(0, space.n, size=2)
+        reports += verify_net_sums(space, net, s, 2 * delta, sigma, k, s2=s2)
 
     by_id: dict[str, list] = {}
     for r in reports:
@@ -178,7 +176,7 @@ def test_criterion_05_paper_constant_inequality_suite(legendre_space):
     enough = all(c >= 50 for c in counts.values())
     constants_exact = (
         EstimateConstants(k=1, sigma_exp=2.0).a1 == 4.0
-        and verify_net_sums(space, net, 0.1, 2 * delta, 3.0, 1)[1].paper_constant
+        and verify_net_sums(space, net, 34, 2 * delta, 3.0, 1)[1].paper_constant
         == 32.0
     )
     elapsed = time.perf_counter() - start
@@ -197,7 +195,7 @@ def test_criterion_06_young_bound(legendre_space, legendre_basis):
     space = legendre_space
     rng = np.random.default_rng(77)
     radii = rng.uniform(0.05, space.diameter / 3.0, size=12)
-    profile = estimate_doubling(space, space.points, radii)
+    profile = estimate_doubling(space, np.arange(space.n), radii)
     delta = 0.2
     params = EnvelopeParams(delta=delta, sigma_exp=2 * profile.k + 1.0, k=profile.k)
     op = dominated_operator(

@@ -169,13 +169,13 @@ def nodes_and_degree(draw):
 )
 def test_verify_fuzz_ends_in_verdict_or_one_error_line(gamma, alpha, size, delta, t, sigma, k_override):
     nodes, degree = size
-    # "--alpha=-1e-05": argparse reads a separate "-1e-05" as an option
-    argv = ["verify", f"--gamma={gamma!r}", f"--alpha={alpha!r}", f"--nodes={nodes}",
-            f"--degree={degree}", f"--delta={delta!r}", f"--t={t!r}"]
+    # values as separate tokens, the form negative exponent notation used to break
+    argv = ["verify", "--gamma", repr(gamma), "--alpha", repr(alpha), "--nodes", str(nodes),
+            "--degree", str(degree), "--delta", repr(delta), "--t", repr(t)]
     if sigma is not None:
-        argv.append(f"--sigma={sigma!r}")
+        argv += ["--sigma", repr(sigma)]
     if k_override is not None:
-        argv.append(f"--k-override={k_override}")
+        argv += ["--k-override", str(k_override)]
     out, err = io.StringIO(), io.StringIO()
     # an uncaught exception propagates out of main and fails the example
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -185,3 +185,25 @@ def test_verify_fuzz_ends_in_verdict_or_one_error_line(gamma, alpha, size, delta
     if code == 2:
         errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
         assert len(errors) == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "net"])
+def test_negative_exponent_notation_values_parse_as_separate_tokens(command, tmp_path, capsys):
+    argv = [command, "--gamma", "-1e-05", "--alpha", "-2.5e-1", "--nodes", "48", "--degree", "30",
+            "--out", str(tmp_path / "out")]
+    args = build_parser().parse_args(argv)
+    assert args.gamma == -1e-05 and args.alpha == -0.25
+    assert main(argv) in (0, 1)
+    err = capsys.readouterr().err
+    assert "error" not in err and "Traceback" not in err
+
+
+def test_thread_count_changes_no_byte_of_the_verdict(monkeypatch, tmp_path):
+    argv = ["verify", "--gamma", "0.5", "--alpha", "-0.5", "--nodes", "96", "--degree", "76"]
+    documents = []
+    for threads in ("1", "4"):
+        monkeypatch.setenv("HEATFRAME_THREADS", threads)
+        out = tmp_path / f"verify-{threads}.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        documents.append(out.read_bytes())
+    assert documents[0] == documents[1]

@@ -13,10 +13,9 @@ from heatframe import (
     EnvelopeParams,
     EstimateConstants,
     MetricMeasureSpace,
+    ball_volumes_at_nodes,
     constants_for,
     envelope,
-    envelope_matrix,
-    envelope_profile,
     lp_norm,
     make_jacobi_space,
     verify_envelope_lp,
@@ -25,6 +24,7 @@ from heatframe import (
 )
 
 SPACE = make_jacobi_space(0.0, 0.0, 64)
+NODES = np.arange(SPACE.n)
 
 
 def test_printed_constants_at_small_exponents():
@@ -71,34 +71,43 @@ def test_envelope_hand_value_on_tiny_space():
     params = EnvelopeParams(delta=1.0, sigma_exp=2.0, k=1)
     # Open unit balls at the endpoints hold only their own unit mass, and
     # the distance between them is 2: E = (1*1)^(-1/2) * (1 + 2)^-2 = 1/9.
-    assert envelope(tiny, params, 0.0, 2.0) == pytest.approx(1.0 / 9.0, rel=1e-15)
+    assert envelope(tiny, params, 0, 2) == pytest.approx(1.0 / 9.0, rel=1e-15)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(i=st.integers(0, 63), j=st.integers(0, 63))
 def test_envelope_is_symmetric(i, j):
     params = EnvelopeParams(delta=0.2, sigma_exp=5.0, k=2)
-    s1 = float(SPACE.points[i])
-    s2 = float(SPACE.points[j])
-    assert envelope(SPACE, params, s1, s2) == envelope(SPACE, params, s2, s1)
+    assert envelope(SPACE, params, i, j) == envelope(SPACE, params, j, i)
 
 
 def test_envelope_matrix_matches_pointwise():
     params = EnvelopeParams(delta=0.3, sigma_exp=5.0, k=2)
-    mat = envelope_matrix(SPACE, params)
+    mat = envelope(SPACE, params, NODES[:, None], NODES[None, :])
     for i in (0, 17, 40, 63):
         for j in (5, 31, 63):
-            assert mat[i, j] == pytest.approx(
-                envelope(SPACE, params, SPACE.points[i], SPACE.points[j]), rel=1e-14
-            )
+            assert mat[i, j] == pytest.approx(envelope(SPACE, params, i, j), rel=1e-14)
     assert np.abs(mat - mat.T).max() == 0.0
+
+
+@pytest.mark.parametrize("gamma, alpha", [(0.0, 0.0), (3.0, -0.5)])
+def test_envelope_matrix_is_bitwise_the_dense_table_expression(gamma, alpha):
+    # dominated_operator fits its certificate on this matrix, so the young
+    # and schur constants move with any change to it
+    space = make_jacobi_space(gamma, alpha, 96)
+    params = EnvelopeParams(delta=0.2, sigma_exp=5.0, k=2)
+    vols = ball_volumes_at_nodes(space, params.delta)
+    scale = (vols[:, None] * vols[None, :]) ** -0.5
+    dense = scale * (1.0 + space.distance_matrix / params.delta) ** -params.sigma_exp
+    nodes = np.arange(space.n)
+    assert np.array_equal(envelope(space, params, nodes[:, None], nodes[None, :]), dense)
 
 
 def test_lp_norm_reports_pass():
     params = EnvelopeParams(delta=0.2, sigma_exp=5.0, k=2)
-    points = np.linspace(-0.95, 0.95, 13)
+    nodes = np.linspace(0, SPACE.n - 1, 13).astype(int)
     for p in (1.0, 2.0, 4.0, math.inf):
-        reports = verify_envelope_lp(SPACE, params, p, points)
+        reports = verify_envelope_lp(SPACE, params, p, nodes)
         assert len(reports) == 13
         assert all(r.passed for r in reports)
         assert all(r.paper_constant == constants_for(params).a_p(p) for r in reports)
@@ -106,16 +115,16 @@ def test_lp_norm_reports_pass():
 
 def test_lp_norm_definition_matches_direct_sum():
     params = EnvelopeParams(delta=0.2, sigma_exp=5.0, k=2)
-    s1 = 0.4
-    row = np.array([envelope(SPACE, params, s1, s2) for s2 in SPACE.points])
+    s1 = 40
+    row = np.array([envelope(SPACE, params, s1, s2) for s2 in NODES])
     direct = float((SPACE.weights @ row**2) ** 0.5)
-    assert lp_norm(SPACE.weights, envelope_profile(SPACE, params, s1), 2.0) == pytest.approx(direct, rel=1e-13)
+    assert lp_norm(SPACE.weights, envelope(SPACE, params, s1, NODES), 2.0) == pytest.approx(direct, rel=1e-13)
 
 
 def test_scaling_reports_pass_both_directions():
     params = EnvelopeParams(delta=0.2, sigma_exp=5.0, k=2)
     rng = np.random.default_rng(5)
-    pairs = [tuple(rng.uniform(-1, 1, size=2)) for _ in range(50)]
+    pairs = [tuple(rng.integers(0, SPACE.n, size=2)) for _ in range(50)]
     for beta in (0.5, 2.0):
         reports = verify_envelope_scaling(SPACE, params, beta, pairs)
         assert all(r.passed for r in reports)
@@ -126,7 +135,7 @@ def test_scaling_reports_pass_both_directions():
 
 def test_lemma_integrals_pass_and_skip_by_hypothesis():
     rng = np.random.default_rng(9)
-    pairs = [tuple(rng.uniform(-1, 1, size=2)) for _ in range(50)]
+    pairs = [tuple(rng.integers(0, SPACE.n, size=2)) for _ in range(50)]
     full = verify_lemma_integrals(
         SPACE, EnvelopeParams(delta=0.2, sigma_exp=5.0, k=2), pairs
     )

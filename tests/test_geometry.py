@@ -13,7 +13,6 @@ from heatframe import (
     METRIC_TABLE,
     DomainError,
     MetricMeasureSpace,
-    ResolutionError,
     ball_volume,
     ball_volumes_at_nodes,
     estimate_doubling,
@@ -42,12 +41,15 @@ def test_chebyshev_total_mass_is_pi():
     assert space.total_mass == pytest.approx(math.pi, abs=1e-12)
 
 
-def test_arc_metric_closed_forms(legendre_space):
-    assert legendre_space.distance(1.0, -1.0) == pytest.approx(math.pi, abs=1e-14)
-    assert legendre_space.distance(0.3, 0.3) == 0.0
-    assert legendre_space.distance(1.0, math.cos(math.pi / 4)) == pytest.approx(
-        math.pi / 4, abs=1e-14
+def test_arc_metric_closed_forms():
+    space = MetricMeasureSpace(
+        points=np.array([1.0, -1.0, 0.3, math.cos(math.pi / 4)]),
+        weights=np.ones(4),
+        metric_kind=METRIC_ARCCOS,
     )
+    assert space.node_distances(0, 1) == pytest.approx(math.pi, abs=1e-14)
+    assert space.node_distances(2, 2) == 0.0
+    assert space.node_distances(0, 3) == pytest.approx(math.pi / 4, abs=1e-14)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -62,9 +64,9 @@ def test_arc_metric_triangle_inequality(x, y, z):
         weights=np.array([1.0, 1.0, 1.0]),
         metric_kind=METRIC_ARCCOS,
     )
-    d = space.distance
-    assert d(x, z) <= d(x, y) + d(y, z) + 1e-12
-    assert d(x, y) == d(y, x)
+    d = space.node_distances
+    assert d(0, 2) <= d(0, 1) + d(1, 2) + 1e-12
+    assert d(0, 1) == d(1, 0)
 
 
 def test_table_space_validation_rejects_bad_input():
@@ -90,17 +92,22 @@ def test_table_space_validation_rejects_bad_input():
 
 
 def test_ball_volume_hand_counts():
-    space = _table_space()
-    assert ball_volume(space, 0.0, 1.5) == pytest.approx(3.0)  # masses 1 + 2
-    assert ball_volume(space, 0.0, 0.0) == 0.0
-    assert ball_volume(space, 1.0, 5.0) == pytest.approx(7.0)  # everything
-    assert ball_volume(space, 2.0, 1.0) == pytest.approx(4.0)  # open ball: itself
+    space = _table_space()  # node i sits at coordinate i
+    assert ball_volume(space, 0, 1.5) == pytest.approx(3.0)  # masses 1 + 2
+    assert ball_volume(space, 0, 0.0) == 0.0
+    assert ball_volume(space, 1, 5.0) == pytest.approx(7.0)  # everything
+    assert ball_volume(space, 2, 1.0) == pytest.approx(4.0)  # open ball: itself
+    # index and radius arrays broadcast against each other
+    grid = ball_volume(space, np.array([[0], [2]]), np.array([0.0, 1.0, 1.5]))
+    assert np.array_equal(grid, [[0.0, 1.0, 3.0], [0.0, 4.0, 6.0]])
+    with pytest.raises(DomainError):  # a table measures distances between nodes only
+        space.distances_from(0.5)
 
 
 def test_ball_volumes_at_nodes_matches_pointwise(legendre_space):
     r = 0.4
     vols = ball_volumes_at_nodes(legendre_space, r)
-    expected = [ball_volume(legendre_space, s, r) for s in legendre_space.points]
+    expected = [ball_volume(legendre_space, i, r) for i in range(legendre_space.n)]
     assert vols == pytest.approx(expected, rel=1e-15)
 
 
@@ -134,6 +141,14 @@ def test_sorted_runs_match_custom_table_oracle(gamma, alpha, n, pick, scale):
             ball_volumes_at_nodes(space, r), ball_volumes_at_nodes(table, r), rtol=1e-13, atol=0.0
         )
         assert np.array_equal(ball_volumes_at_nodes(counts, r), ball_volumes_at_nodes(count_table, r))
+    # one batched call over a (node x radius) grid, the empty ball included
+    nodes = np.arange(n)[:, None]
+    grid = np.array([*radii, 0.0])
+    np.testing.assert_allclose(
+        ball_volume(space, nodes, grid), ball_volume(table, nodes, grid), rtol=1e-13, atol=0.0
+    )
+    assert np.array_equal(ball_volume(counts, nodes, grid), ball_volume(count_table, nodes, grid))
+    assert not ball_volume(space, nodes, 0.0).any()
 
 
 def test_sorted_runs_count_shuffled_euclidean_nodes_exactly():
@@ -156,11 +171,11 @@ def test_sorted_runs_keep_tiny_balls_of_a_heavy_weight():
 
 
 def _doubling_by_loop(space, centers, radii):
-    """estimate_doubling as a per-center loop over distances_from."""
+    """estimate_doubling as a per-center loop over rows of the distance table."""
     reverse_cut = space.diameter / 3.0
     ratios, reverse_ratios, unit_masses = [], [], []
     for c in centers:
-        d = space.distances_from(c)
+        d = space.distance_matrix[c]
         unit_masses.append(float(space.weights[d < 1.0].sum()))
         for r in radii:
             ratio = float(space.weights[d < 2.0 * r].sum()) / float(space.weights[d < r].sum())
@@ -175,7 +190,7 @@ def test_estimate_doubling_matches_per_center_loop(gamma, alpha):
     space = make_jacobi_space(gamma, alpha, 200)
     rng = np.random.default_rng(5)
     radii = rng.uniform(0.02 * space.diameter, space.diameter / 3.0, size=12)
-    centers = list(space.points) + list(rng.uniform(-1.0, 1.0, size=20))
+    centers = list(range(space.n)) + list(rng.integers(0, space.n, size=20))
     profile = estimate_doubling(space, centers, radii)
     k_hat, alpha_hat, a_noncollapse = _doubling_by_loop(space, centers, radii)
     assert profile.k_hat == pytest.approx(k_hat, rel=1e-13)
@@ -183,11 +198,12 @@ def test_estimate_doubling_matches_per_center_loop(gamma, alpha):
     assert profile.a_noncollapse == pytest.approx(a_noncollapse, rel=1e-13)
 
 
-def test_estimate_doubling_rejects_unresolved_radius():
+def test_estimate_doubling_resolves_tiny_node_balls():
+    # an open ball of positive radius holds its own node's positive weight
     space = make_jacobi_space(0.0, 0.0, 16)
-    between = float(np.cos(np.arccos(space.points[:2]).mean()))
-    with pytest.raises(ResolutionError, match="grid too coarse for the radius"):
-        estimate_doubling(space, [between], [1e-4])
+    profile = estimate_doubling(space, [0, 7], [1e-4])
+    assert profile.k_hat == profile.alpha_hat == 0.0
+    assert profile.a_noncollapse > 0.0
 
 
 @pytest.mark.parametrize("metric", [METRIC_ARCCOS, METRIC_EUCLIDEAN])
@@ -214,7 +230,7 @@ def test_uniform_line_has_dimension_one():
     table = np.abs(idx[:, None] - idx[None, :]) * h
     space = MetricMeasureSpace(idx, np.full(n, h), METRIC_TABLE, table)
     rng = np.random.default_rng(0)
-    centers = space.points[n // 3 : 2 * n // 3]
+    centers = np.arange(n // 3, 2 * n // 3)
     radii = rng.uniform(5 * h, 20 * h, size=10)
     profile = estimate_doubling(space, centers, radii)
     assert 0.9 <= profile.k_hat <= 1.35
@@ -225,7 +241,7 @@ def test_uniform_line_has_dimension_one():
 def test_doubling_profile_on_standard_space(legendre_space):
     rng = np.random.default_rng(7)
     radii = rng.uniform(0.05, legendre_space.diameter / 3.0, size=12)
-    profile = estimate_doubling(legendre_space, legendre_space.points, radii)
+    profile = estimate_doubling(legendre_space, np.arange(legendre_space.n), radii)
     assert profile.k_hat >= profile.alpha_hat >= 0.0
     assert profile.a_noncollapse > 0.0
     assert profile.k >= 1 and isinstance(profile.k, int)
@@ -236,11 +252,11 @@ def test_doubling_profile_on_standard_space(legendre_space):
 def test_ball_growth_reports_pass(legendre_space):
     rng = np.random.default_rng(11)
     radii = rng.uniform(0.05, legendre_space.diameter / 3.0, size=12)
-    profile = estimate_doubling(legendre_space, legendre_space.points, radii)
+    profile = estimate_doubling(legendre_space, np.arange(legendre_space.n), radii)
     samples = [
         (
-            float(rng.uniform(-1, 1)),
-            float(rng.uniform(-1, 1)),
+            int(rng.integers(0, legendre_space.n)),
+            int(rng.integers(0, legendre_space.n)),
             float(rng.uniform(0.05, legendre_space.diameter / 3.0)),
             float(rng.uniform(1.0, 3.0)),
         )

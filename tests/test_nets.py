@@ -93,13 +93,11 @@ def test_net_sums_pass_with_printed_constants():
     delta = 0.2
     net = build_partition(SPACE, build_maximal_net(SPACE, delta))
     rng = np.random.default_rng(3)
-    probes = rng.uniform(-1.0, 1.0, size=10)
-    others = rng.uniform(-1.0, 1.0, size=10)
+    probes = rng.integers(0, SPACE.n, size=10)
+    others = rng.integers(0, SPACE.n, size=10)
     all_ids = set()
     for s, s2 in zip(probes, others):
-        reports = verify_net_sums(
-            SPACE, net, float(s), 2 * delta, sigma_exp=5.0, k=2, s2=float(s2)
-        )
+        reports = verify_net_sums(SPACE, net, s, 2 * delta, sigma_exp=5.0, k=2, s2=s2)
         assert all(r.passed for r in reports)
         all_ids.update(r.check_id for r in reports)
     assert all_ids == {
@@ -113,7 +111,7 @@ def test_net_sums_pass_with_printed_constants():
 
 def test_net_sums_low_exponent_skips_product_parts():
     net = build_partition(SPACE, build_maximal_net(SPACE, 0.2))
-    reports = verify_net_sums(SPACE, net, 0.3, 0.4, sigma_exp=3.0, k=2)
+    reports = verify_net_sums(SPACE, net, 38, 0.4, sigma_exp=3.0, k=2)
     ids = {r.check_id for r in reports}
     assert "net.sum.envelope_product" not in ids
     assert "net.sum.decay_product" not in ids
@@ -123,10 +121,10 @@ def test_net_sums_low_exponent_skips_product_parts():
 def test_net_sum_constant_is_exact_at_unit_exponent():
     # Rounded-up exponent 1: the pure center sum carries constant 2^(3k+2) = 32.
     net = build_partition(SPACE, build_maximal_net(SPACE, 0.2))
-    reports = verify_net_sums(SPACE, net, 0.1, 0.4, sigma_exp=3.0, k=1)
+    reports = verify_net_sums(SPACE, net, 34, 0.4, sigma_exp=3.0, k=1)
     by_id = {r.check_id: r for r in reports}
     assert by_id["net.sum.center_decay"].paper_constant == 32.0
     assert by_id["net.sum.cell_decay"].paper_constant == 16.0
     assert by_id["net.sum.cell_decay"].rhs == pytest.approx(
-        16.0 * ball_volume(SPACE, 0.1, 0.2)
+        16.0 * ball_volume(SPACE, 34, 0.2)
     )

@@ -10,6 +10,8 @@ more names directly.
 import importlib
 import importlib.util
 import inspect
+import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,9 @@ import pytest
 
 from heatframe import fit_gaussian_bounds, verify_eigen_action, verify_holder, verify_poincare
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
+BENCHMARK = ROOT / "BENCHMARK.json"
 
 
 def _load_tracer():
@@ -59,3 +63,33 @@ def test_refinement_calls_are_sized_by_their_basis(legendre_basis):
     for fn, args in calls:
         inspect.signature(fn).bind(*args)  # the tuple is a valid call
         assert tracer.space_size(args, {}) == legendre_basis.space.n
+
+
+def test_traced_run_calls_every_wrapped_layer(tmp_path):
+    """One small run of each subcommand, traced as the benchmark traces it,
+    reaches every wrapped function and reports every per-layer name, so no
+    layer metric reads 0 or goes missing."""
+    from heatframe import cli
+
+    tracer = _load_tracer().Tracer()
+    runs = [
+        (["verify", "--nodes", "48", "--degree", "30", "--out", str(tmp_path / "v.json")], 96),
+        (["kernel", "--nodes", "32", "--degree", "20", "--out", str(tmp_path / "k.csv")], None),
+        (["net", "--nodes", "64", "--out", str(tmp_path / "n.json")], None),
+        (["decompose", "--nodes", "48", "--degree", "30", "--out", str(tmp_path / "d.csv")], None),
+    ]
+    for argv, refine_nodes in runs:
+        tracer.install()
+        try:
+            tracer.begin(refine_nodes)
+            start = time.perf_counter()
+            assert cli.main(argv) == 0
+            tracer.end(start, time.perf_counter())
+        finally:
+            tracer.uninstall()
+    uncalled = sorted(metric for metric in tracer.wrapped if tracer.calls[metric] < 1)
+    assert uncalled == []
+    metrics = tracer.metrics()
+    names = {layer["name"] for layer in json.loads(BENCHMARK.read_text())["per_layer"]}
+    assert names - {"trace.overhead"} <= set(metrics)  # run.py adds the overhead ratio
+    assert [name for name in names - {"trace.overhead"} if metrics[name] <= 0] == []
