@@ -38,7 +38,6 @@ from .geometry import (
 from .heat import (
     FactoredKernel,
     HeatKernelEval,
-    apply_heat,
     factored_kernel,
     fit_gaussian_bounds,
     heat_kernel,

@@ -53,25 +53,36 @@ def recurrence_coefficients(gamma: float, alpha: float, n: int) -> tuple[np.ndar
                 4.0 * k * (k + gamma) * (k + alpha) * (k + s)
                 / ((2.0 * k + s) ** 2 * (2.0 * k + s + 1.0) * (2.0 * k + s - 1.0))
             )
-    mu0 = 2.0 ** (s + 1.0) * math.gamma(gamma + 1.0) * math.gamma(alpha + 1.0) / math.gamma(s + 2.0)
+    try:
+        mu0 = 2.0 ** (s + 1.0) * math.gamma(gamma + 1.0) * math.gamma(alpha + 1.0) / math.gamma(s + 2.0)
+    except OverflowError:
+        mu0 = math.inf
+    if not math.isfinite(mu0):
+        # the gamma factors overflow from gamma + alpha ~ 170 while mu0 stays modest
+        mu0 = math.exp(
+            (s + 1.0) * math.log(2.0) + math.lgamma(gamma + 1.0) + math.lgamma(alpha + 1.0) - math.lgamma(s + 2.0)
+        )
     return a, b, mu0
 
 
-def _rows(
-    a: np.ndarray, b: np.ndarray, mu0: float, x: np.ndarray, *, derivs: bool = True
+def orthonormal_rows(
+    a: np.ndarray, b: np.ndarray, mu0: float, x: np.ndarray, *, deriv_rows: int | None = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
     """Yield (p_k(x), p_k'(x)) for k = 0..len(a) - 1 from the recurrence
     coefficients (a, b, mu0), holding only the two previous rows.
 
-    With derivs=False the derivative slot is None and no derivative is
-    computed.  Every yielded row is a fresh array the caller may keep.
+    Derivatives are computed for rows 0..deriv_rows - 1 (every row by
+    default); past them the derivative slot is None.  Every yielded row is a
+    fresh array the caller may keep.
     """
+    n_derivs = len(a) if deriv_rows is None else deriv_rows
     v_prev = d_prev = None
     v = np.full(x.shape, 1.0 / math.sqrt(mu0))
-    d = np.zeros(x.shape) if derivs else None
+    d = np.zeros(x.shape) if n_derivs > 0 else None
     yield v, d
     for k in range(len(a) - 1):
         sb_next = math.sqrt(b[k + 1])
+        derivs = k + 1 < n_derivs
         if k == 0:
             v_next = (x - a[0]) * v / sb_next
             d_next = v / sb_next if derivs else None
@@ -82,25 +93,6 @@ def _rows(
         v_prev, v = v, v_next
         d_prev, d = d, d_next
         yield v, d
-
-
-def evaluate_orthonormal(
-    gamma: float, alpha: float, degree: int, x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tabulate the orthonormal polynomials p_0..p_degree and their derivatives.
-
-    Returns (values, derivatives), each of shape (degree + 1, len(x)).  The
-    derivative rows follow from differentiating the recurrence, so they are
-    exact for the tabulated polynomials rather than a finite difference.
-    """
-    x = np.asarray(x, dtype=float)
-    a, b, mu0 = recurrence_coefficients(gamma, alpha, degree)
-    values = np.empty((degree + 1, x.size))
-    derivs = np.empty((degree + 1, x.size))
-    for k, (v, d) in enumerate(_rows(a, b, mu0, x)):
-        values[k] = v
-        derivs[k] = d
-    return values, derivs
 
 
 def gauss_nodes(gamma: float, alpha: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -124,11 +116,11 @@ def gauss_nodes(gamma: float, alpha: float, n: int) -> tuple[np.ndarray, np.ndar
     a, b, mu0 = recurrence_coefficients(gamma, alpha, n)
     x, _ = roots_jacobi(n, gamma, alpha)
     for _ in range(2):
-        p, dp = deque(_rows(a, b, mu0, x), maxlen=1).pop()  # row n only
+        p, dp = deque(orthonormal_rows(a, b, mu0, x), maxlen=1).pop()  # row n only
         x = x - p / dp
     x = np.clip(x, -1.0, 1.0)
     squares = np.zeros(n)
-    for p, _ in _rows(a[:n], b[:n], mu0, x, derivs=False):
+    for p, _ in orthonormal_rows(a[:n], b[:n], mu0, x, deriv_rows=0):
         squares += p ** 2
     w = 1.0 / squares
     order = np.argsort(x)

@@ -35,6 +35,7 @@ from .reporting import VerificationReport, aggregate, compare_stability, gate, t
 
 GAUSS_T_GRID = (0.05, 0.1, 0.2, 0.5, 1.0)
 EIGEN_T_GRID = (0.1, 0.5)
+POINCARE_DEGREE = 10
 YOUNG_EXPONENTS = ((1.0, 1.0), (1.0, 2.0), (2.0, 2.0), (1.0, math.inf), (2.0, math.inf))
 SCHUR_EXPONENTS = ((2.0, 2.0, 1.0), (1.0, 2.0, 2.0))
 LP_EXPONENTS = (1.0, 2.0, 4.0, math.inf)
@@ -102,12 +103,23 @@ class RunConfig:
 
 def _build(config: RunConfig, *, doubled: bool = False) -> jacobi.SpectralBasis:
     """The configured basis, or its refinement on twice the nodes at twice
-    the degree (capped at the rule's exactness limit)."""
+    the degree (capped at the rule's exactness limit).
+
+    The refinement serves the Gaussian and Hoelder fits, which read the rows
+    ``heat.factored_kernel`` keeps at the smallest fit time (those whose
+    decay exp(-beta_k t) has not underflowed to 0), and the Poincare fit,
+    which reads rows 0..POINCARE_DEGREE.  It stores only those rows.
+    """
     scale = 2 if doubled else 1
     nodes = scale * config.n_nodes
     space = geometry.make_jacobi_space(config.gamma, config.alpha, nodes)
     params = jacobi.JacobiParams(config.gamma, config.alpha)
-    return jacobi.build_basis(space, params, min(scale * config.degree, nodes - 1))
+    degree = min(scale * config.degree, nodes - 1)
+    stored = None
+    if doubled:
+        live = int(np.count_nonzero(np.exp(-jacobi.eigenvalues(params, degree) * min(GAUSS_T_GRID))))
+        stored = min(degree + 1, max(POINCARE_DEGREE + 1, live))
+    return jacobi.build_basis(space, params, degree, stored_rows=stored)
 
 
 def _theta_range(space: geometry.MetricMeasureSpace) -> tuple[float, float]:
@@ -164,7 +176,7 @@ def run_verify(config: RunConfig) -> int:
         reports.extend(nets.verify_net_sums(space, net, s, 2.0 * config.delta, sigma_exp, k, s2))
 
     # semigroup identities
-    reports.append(heat.verify_markov(space, heat.heat_kernel(basis, config.t)))
+    reports.append(heat.verify_markov(basis, config.t))
     semi = rng.uniform(0.05, 1.0, size=(10, 2))
     for t_val, s_val in semi:
         reports.append(heat.verify_semigroup(space, basis, float(t_val), float(s_val)))
@@ -217,13 +229,15 @@ def run_verify(config: RunConfig) -> int:
     ball_radii = rng.uniform(0.1, min(1.0, space.diameter / 3.0), size=12)
     balls = list(zip(ball_centers, ball_radii))
     poincare_rng = np.random.default_rng(config.seed + 1)
-    poincare_base = jacobi.verify_poincare(basis, balls, poincare_rng, max_degree=min(10, basis.degree))
+    poincare_base = jacobi.verify_poincare(
+        basis, balls, poincare_rng, max_degree=min(POINCARE_DEGREE, basis.degree)
+    )
     reports.extend(poincare_base)
     poincare_fine = jacobi.verify_poincare(
         basis_fine,
         balls,
         np.random.default_rng(config.seed + 1),
-        max_degree=min(10, basis_fine.degree),
+        max_degree=min(POINCARE_DEGREE, basis_fine.degree),
     )
     reports.append(
         compare_stability(

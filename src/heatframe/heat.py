@@ -10,10 +10,11 @@ Gauss quadrature space the discrete expansion makes the defining identities
 (unit mass, the semigroup law, eigenfunction action) hold to roundoff, so
 their verifiers double as integrity checks of the discretization.
 
-Checks that read only a few kernel values work on the factored view
-(``factored_kernel``): the basis rows and decay factors themselves, from
-which entries, the diagonal, and the semigroup defect come without the
-N x N table.  The dense table stays for callers that consume all of it.
+Every identity and fit works on the factored view (``factored_kernel``):
+the basis rows and decay factors themselves, from which sampled entries, the
+diagonal, row integrals, the action on basis rows and the semigroup defect
+come without the N x N table.  The dense table (``heat_kernel``) stays for
+callers that consume all of it: the Young/Schur operator and the CSV export.
 
 Two-sided Gaussian envelopes and the space Hoelder exponent are *fitted*
 rather than asserted: the fit reports the constants
@@ -50,7 +51,6 @@ class HeatKernelEval:
 
     t: float
     table: np.ndarray
-    truncation_degree: int
     tail_bound: float
 
 
@@ -76,8 +76,7 @@ def heat_kernel(basis: SpectralBasis, t: float) -> HeatKernelEval:
     decay = _decay(basis, t)
     return HeatKernelEval(
         t=float(t),
-        table=multiplier_table(basis.values, decay),
-        truncation_degree=basis.degree,
+        table=multiplier_table(basis.rows(), decay),
         tail_bound=float(decay[-1]),
     )
 
@@ -88,7 +87,8 @@ class FactoredKernel:
     rows[k, i] rows[k, j].
 
     Basis rows past the last nonzero decay factor (exp(-beta_k t) underflows
-    to 0) add exact zeros to every sum, so they are dropped.
+    to 0) add exact zeros to every sum, so they are dropped; a basis that
+    stores fewer rows than are left raises ContractError.
     """
 
     rows: np.ndarray
@@ -118,27 +118,22 @@ def factored_kernel(basis: SpectralBasis, t: float) -> FactoredKernel:
     """The factored view of h_t, with the time and tail checks of heat_kernel."""
     decay = _decay(basis, t)
     keep = int(np.flatnonzero(decay).max(initial=-1)) + 1
-    return FactoredKernel(rows=basis.values[:keep], decay=decay[:keep])
+    return FactoredKernel(rows=basis.rows(keep), decay=decay[:keep])
 
 
-def apply_heat(space: MetricMeasureSpace, kernel: HeatKernelEval, f: np.ndarray) -> np.ndarray:
-    """(R_t f)(y) = integral of h_t(x, y) f(x) dsigma(x)."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (space.n,):
-        raise DomainError("nodal values must align with the space")
-    return (space.weights * f) @ kernel.table
-
-
-def verify_markov(space: MetricMeasureSpace, kernel: HeatKernelEval, tol: float = 1e-8) -> VerificationReport:
-    """Unit mass in each slot: the row integrals of h_t must all equal 1."""
-    row_integrals = kernel.table @ space.weights
+def verify_markov(basis: SpectralBasis, t: float, tol: float = 1e-8) -> VerificationReport:
+    """Unit mass in each slot: the row integrals of h_t, V^T D (V w), must
+    all equal 1."""
+    space = basis.space
+    kernel = factored_kernel(basis, t)
+    row_integrals = (kernel.decay * (kernel.rows @ space.weights)) @ kernel.rows
     defect = float(np.abs(row_integrals - 1.0).max())
     return make_report(
         "markov",
         defect,
         tol,
         paper_constant=1.0,
-        context={"t": kernel.t, "n_nodes": space.n, "degree": kernel.truncation_degree},
+        context={"t": float(t), "n_nodes": space.n, "degree": basis.degree},
     )
 
 
@@ -181,21 +176,21 @@ def verify_eigen_action(
     max_index: int,
     tol: float = 1e-9,
 ) -> VerificationReport:
-    """R_t P_i = exp(-beta_i t) P_i for each basis row up to max_index."""
+    """R_t P_i = exp(-beta_i t) P_i for each basis row up to max_index.
+
+    The images R_t P_i = V^T D V (w P_i) come from the factored kernel.
+    """
     if max_index < 0 or max_index > basis.degree:
         raise DomainError("max_index must lie within the basis degree")
-    kernel = heat_kernel(basis, t)
-    worst = 0.0
-    worst_i = 0
-    for i in range(max_index + 1):
-        image = apply_heat(basis.space, kernel, basis.values[i])
-        defect = float(np.abs(image - math.exp(-basis.eigenvalues[i] * t) * basis.values[i]).max())
-        if defect > worst:
-            worst = defect
-            worst_i = i
+    kernel = factored_kernel(basis, t)
+    probes = basis.rows(max_index + 1)
+    images = (kernel.decay[:, None] * (kernel.rows @ (probes * basis.space.weights).T)).T @ kernel.rows
+    expected = np.exp(-basis.eigenvalues[: max_index + 1] * t)[:, None] * probes
+    defects = np.abs(images - expected).max(axis=1)
+    worst_i = int(np.argmax(defects))
     return make_report(
         "eigen_action",
-        worst,
+        float(defects[worst_i]),
         tol,
         context={"t": t, "max_index": max_index, "worst_index": worst_i},
     )

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._recurrence import JacobiParams, evaluate_orthonormal
+from ._recurrence import JacobiParams, orthonormal_rows, recurrence_coefficients
 from .errors import (
     ContractError,
     DomainError,
@@ -43,6 +43,8 @@ from .reporting import VerificationReport, make_report
 
 _ORTHO_TOL = 1e-10
 _COEFF_CUTOFF = 1e-12
+_BLOCK_BYTES = 8 * 2**20  # one node block of the recurrence: every row at its nodes
+_PANEL_ROWS = 256  # Gram rows one block's product updates at a time
 
 
 def eigenvalue(i: int, params: JacobiParams) -> float:
@@ -52,6 +54,11 @@ def eigenvalue(i: int, params: JacobiParams) -> float:
     return float(i) * (float(i) + params.gamma + params.alpha + 1.0)
 
 
+def eigenvalues(params: JacobiParams, degree: int) -> np.ndarray:
+    """beta_0..beta_degree."""
+    return np.array([eigenvalue(i, params) for i in range(degree + 1)])
+
+
 @dataclass(frozen=True)
 class SpectralBasis:
     """Nodal tables of the orthonormal eigenbasis on a quadrature space.
@@ -59,6 +66,11 @@ class SpectralBasis:
     values[i, j] = P_i(x_j) and deriv_values[i, j] = P_i'(x_j); rows are
     renormalized to exact unit discrete norm so that analysis followed by
     synthesis is an exact projection at the stored degree.
+
+    A basis may store only its leading rows (``build_basis(...,
+    stored_rows=K)``) while keeping its degree and every eigenvalue.  Read
+    the tables through ``rows`` and ``deriv_rows``, which raise ContractError
+    for a row that is not stored rather than return fewer rows.
     """
 
     space: MetricMeasureSpace
@@ -72,13 +84,39 @@ class SpectralBasis:
     def size(self) -> int:
         return self.degree + 1
 
+    def rows(self, count: int | None = None) -> np.ndarray:
+        """P_0..P_{count-1} at the nodes (every row by default)."""
+        return _leading(self.values, self.size if count is None else count)
 
-def build_basis(space: MetricMeasureSpace, params: JacobiParams, degree: int) -> SpectralBasis:
+    def deriv_rows(self, count: int | None = None) -> np.ndarray:
+        """P_0'..P_{count-1}' at the nodes (every row by default)."""
+        return _leading(self.deriv_values, self.size if count is None else count)
+
+
+def _leading(table: np.ndarray, count: int) -> np.ndarray:
+    if count > table.shape[0]:
+        raise ContractError(
+            f"rows 0..{count - 1} requested, but the basis stores rows 0..{table.shape[0] - 1} only"
+        )
+    return table[:count]
+
+
+def build_basis(
+    space: MetricMeasureSpace, params: JacobiParams, degree: int, *, stored_rows: int | None = None
+) -> SpectralBasis:
     """Tabulate P_0..P_degree on the space and validate discrete orthonormality.
 
     The quadrature rule is exact through polynomial degree 2 n - 1, so the
     basis degree may not exceed n - 1; past that the discrete Gram matrix
     stops being the identity and every spectral operation silently degrades.
+
+    The recurrence runs over blocks of nodes.  Each block adds its share
+    S_b S_b^T, with S = V sqrt(w), to the Gram matrix of every row, so the
+    check covers all degree + 1 rows while only ``stored_rows`` of them (all
+    by default) are kept, with their derivatives.  The share goes in by
+    panels of rows on and above the diagonal: the matrix is symmetric, the
+    product costs what a symmetric rank-k update costs, and no temporary
+    of the matrix's size is made.  Entries below the diagonal panels stay 0.
     """
     if space.metric_kind != METRIC_ARCCOS:
         raise ContractError("spectral bases live on arccos-metric quadrature spaces")
@@ -88,23 +126,46 @@ def build_basis(space: MetricMeasureSpace, params: JacobiParams, degree: int) ->
         raise ExactnessError(
             f"degree {degree} exceeds the exactness limit {space.n - 1} of an {space.n}-node rule"
         )
-    values, derivs = evaluate_orthonormal(params.gamma, params.alpha, degree, space.points)
+    size = degree + 1
+    keep = size if stored_rows is None else stored_rows
+    if not 1 <= keep <= size:
+        raise DomainError("stored rows must lie in [1, degree + 1]")
+    a, b, mu0 = recurrence_coefficients(params.gamma, params.alpha, degree)
+    values = np.empty((keep, space.n))
+    derivs = np.empty((keep, space.n))
+    gram = np.zeros((size, size))
+    root_w = np.sqrt(space.weights)
+    width = max(1, _BLOCK_BYTES // (8 * size))
+    for lo in range(0, space.n, width):
+        nodes = slice(lo, min(lo + width, space.n))
+        block = np.empty((size, nodes.stop - lo))
+        for k, (v, d) in enumerate(orthonormal_rows(a, b, mu0, space.points[nodes], deriv_rows=keep)):
+            block[k] = v
+            if k < keep:
+                derivs[k, nodes] = d
+        values[:, nodes] = block[:keep]
+        block *= root_w[nodes]
+        for top in range(0, size, _PANEL_ROWS):
+            panel = slice(top, top + _PANEL_ROWS)
+            gram[panel, top:] += block[panel] @ block[top:].T
     norms = np.sqrt((values * values) @ space.weights)
     values /= norms[:, None]
     derivs /= norms[:, None]
-    gram = (values * space.weights) @ values.T
+    # the Gram matrix of the normalized rows, from the raw one
+    scale = 1.0 / np.sqrt(np.diag(gram))
+    gram *= scale[:, None]
+    gram *= scale
     gram[np.diag_indices_from(gram)] -= 1.0
     defect = float(np.abs(gram, out=gram).max())
     if defect > _ORTHO_TOL:
         raise ExactnessError(f"discrete Gram defect {defect:.2e}; space does not match the weight")
-    eigs = np.array([eigenvalue(i, params) for i in range(degree + 1)])
     return SpectralBasis(
         space=space,
         params=params,
         degree=degree,
         values=values,
         deriv_values=derivs,
-        eigenvalues=eigs,
+        eigenvalues=eigenvalues(params, degree),
     )
 
 
@@ -113,7 +174,7 @@ def coefficients(basis: SpectralBasis, f: np.ndarray) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.shape != (basis.space.n,):
         raise ContractError("nodal values must align with the space")
-    return basis.values @ (basis.space.weights * f)
+    return basis.rows() @ (basis.space.weights * f)
 
 
 def synthesize(basis: SpectralBasis, coeffs: np.ndarray) -> np.ndarray:
@@ -121,7 +182,7 @@ def synthesize(basis: SpectralBasis, coeffs: np.ndarray) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (basis.size,):
         raise ContractError("coefficient vector must match the basis size")
-    return coeffs @ basis.values
+    return coeffs @ basis.rows()
 
 
 def multiplier_table(rows: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
@@ -163,7 +224,7 @@ def apply_L(basis: SpectralBasis, f: np.ndarray, *, resid_tol: float = 1e-8) -> 
 
 def derivative_values(basis: SpectralBasis, f: np.ndarray) -> np.ndarray:
     """Nodal derivative of the spectral representative of f."""
-    return coefficients(basis, f) @ basis.deriv_values
+    return coefficients(basis, f) @ basis.deriv_rows()
 
 
 def form_omega(basis: SpectralBasis, f: np.ndarray, g: np.ndarray) -> float:
@@ -201,6 +262,21 @@ def carre_du_champ_gradient(basis: SpectralBasis, f: np.ndarray, g: np.ndarray) 
     return (1.0 - x * x) * fp * gp
 
 
+def _random_coefficients(
+    basis: SpectralBasis, n_functions: int, max_degree: int, rng: np.random.Generator, normalize: bool
+) -> np.ndarray:
+    if n_functions < 1:
+        raise DomainError("need at least one function")
+    if max_degree < 0 or max_degree > basis.degree:
+        raise DomainError("max_degree must lie within the basis degree")
+    coeffs = rng.standard_normal((n_functions, max_degree + 1))
+    if normalize:
+        norms = np.linalg.norm(coeffs, axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        coeffs = coeffs / norms
+    return coeffs
+
+
 def random_polynomials(
     basis: SpectralBasis,
     n_functions: int,
@@ -214,16 +290,7 @@ def random_polynomials(
     With normalize=True each row has exact unit discrete L2 norm, which
     keeps absolute tolerances meaningful across draws.
     """
-    if n_functions < 1:
-        raise DomainError("need at least one function")
-    if max_degree < 0 or max_degree > basis.degree:
-        raise DomainError("max_degree must lie within the basis degree")
-    coeffs = rng.standard_normal((n_functions, max_degree + 1))
-    if normalize:
-        norms = np.linalg.norm(coeffs, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        coeffs = coeffs / norms
-    return coeffs @ basis.values[: max_degree + 1]
+    return _random_coefficients(basis, n_functions, max_degree, rng, normalize) @ basis.rows(max_degree + 1)
 
 
 def verify_poincare(
@@ -237,8 +304,9 @@ def verify_poincare(
 ) -> list[VerificationReport]:
     """Fit the smallest K with  int_B |f - f_B|^2 <= K r^2 int_B dGamma(f, f).
 
-    Gamma here is the squared-gradient density (1 - x^2) f'^2, evaluated
-    through the derivative tables so the fit does not feed on the spectral
+    Gamma here is the squared-gradient density (1 - x^2) f'^2, with f'
+    summed from the drawn coefficients over the derivative tables, so the
+    fit reads rows 0..max_degree only and does not feed on the spectral
     identity it is meant to probe.  Balls need radii in (0, 1]; pairs where
     both sides vanish are skipped.  The fit passes when K stays finite; a
     second report checks K against an explicit candidate when one is given.
@@ -249,14 +317,13 @@ def verify_poincare(
         if not (0.0 < r <= 1.0):
             raise DomainError("ball radii must lie in (0, 1]")
     space = basis.space
-    fs = random_polynomials(basis, n_functions, max_degree, rng)
+    coeffs = _random_coefficients(basis, n_functions, max_degree, rng, True)
+    fs = coeffs @ basis.rows(max_degree + 1)
+    fps = coeffs @ basis.deriv_rows(max_degree + 1)
     w = space.weights
     x = space.points
     # energy densities (1 - x^2) f'^2, one per function, shared by every ball
-    densities = []
-    for f in fs:
-        fp = derivative_values(basis, f)
-        densities.append((1.0 - x * x) * fp * fp)
+    densities = (1.0 - x * x) * fps * fps
     K_fit = 0.0
     n_pairs = 0
     tiny = 1e-14

@@ -223,7 +223,7 @@ def spectral_multiplier(basis: SpectralBasis, symbol: Callable[[np.ndarray], np.
         raise ContractError("symbol must map the eigenvalue grid elementwise")
     if not np.all(np.isfinite(values)):
         raise DomainError("symbol values must be finite")
-    return KernelOperator(table=multiplier_table(basis.values, values))
+    return KernelOperator(table=multiplier_table(basis.rows(), values))
 
 
 def band_index(beta: float) -> int:

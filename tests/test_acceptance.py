@@ -63,7 +63,7 @@ def test_criterion_01_markov_identity():
         params = JacobiParams(gamma, alpha)
         basis = build_basis(space, params, _degree_for(params, 0.05))
         for t in (0.05, 0.1, 0.5, 1.0):
-            report = verify_markov(space, heat_kernel(basis, t))
+            report = verify_markov(basis, t)
             worst = max(worst, report.lhs)
             assert report.passed
     elapsed = time.perf_counter() - start

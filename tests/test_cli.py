@@ -146,7 +146,25 @@ def test_benchmark_sweep_grid_passes_validation(monkeypatch):
         ).validate()
 
 
-WEIGHT_EXPONENTS = st.floats(-1.0, 12.0, exclude_min=True, allow_nan=False)
+@pytest.mark.parametrize("command", ["kernel", "net", "decompose"])
+def test_exports_accept_weights_past_the_gamma_function_overflow(command, tmp_path):
+    # gamma + alpha + 2 = 202 overflows math.gamma in the total mass
+    argv = [command, "--gamma", "100", "--alpha", "100", "--nodes", "64", "--degree", "40",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+
+
+def test_verify_past_the_gamma_function_overflow_ends_in_one_error_line(capsys):
+    argv = ["verify", "--gamma", "100", "--alpha", "100", "--nodes", "256", "--degree", "255"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    # one reverse doubling ratio rounds to 1 - 1 ulp (non-monotone float ball volumes)
+    assert errors == ["error: exponents must satisfy k_hat >= alpha_hat >= 0"]
+    assert "Traceback" not in err
+
+
+WEIGHT_EXPONENTS = st.floats(-1.0, 200.0, exclude_min=True, allow_nan=False)
 
 
 @st.composite

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from heatframe import (
+    METRIC_ARCCOS,
     DomainError,
     ExactnessError,
     JacobiParams,
+    MetricMeasureSpace,
     SamplingError,
     TruncationWarning,
-    apply_heat,
     build_basis,
     factored_kernel,
     fit_gaussian_bounds,
@@ -65,7 +66,7 @@ def test_truncation_warning_when_tail_is_visible(legendre_space):
 
 def test_markov_identity(legendre_space, legendre_basis):
     for t in (0.05, 0.1, 0.5, 1.0):
-        report = verify_markov(legendre_space, heat_kernel(legendre_basis, t))
+        report = verify_markov(legendre_basis, t)
         assert report.passed
         assert report.rhs == 1e-8
         assert report.paper_constant == 1.0
@@ -73,7 +74,7 @@ def test_markov_identity(legendre_space, legendre_basis):
 
 def test_constant_function_is_fixed_point(legendre_space, legendre_basis):
     ones = np.ones(legendre_space.n)
-    evolved = apply_heat(legendre_space, heat_kernel(legendre_basis, 0.7), ones)
+    evolved = (legendre_space.weights * ones) @ heat_kernel(legendre_basis, 0.7).table
     assert evolved == pytest.approx(ones, abs=1e-10)
 
 
@@ -155,6 +156,32 @@ def test_factored_kernel_matches_neumann_closed_form():
         )
         entries = factored_kernel(basis, t).entries(rows.ravel(), cols.ravel()).reshape(n, n)
         assert np.abs(entries - closed).max() <= 1e-12 * np.abs(closed).max()
+
+
+@pytest.mark.parametrize("gamma, alpha", [(0.0, 0.0), (3.0, -0.5)])
+def test_factored_identities_match_a_dense_table(gamma, alpha):
+    space = make_jacobi_space(gamma, alpha, 64)
+    basis = build_basis(space, JacobiParams(gamma, alpha), 51)
+    w = space.weights
+    for t in (0.1, 0.5):
+        decay = np.exp(-basis.eigenvalues * t)
+        table = basis.values.T @ (decay[:, None] * basis.values)  # V^T diag(d) V
+        dense_markov = float(np.abs(table @ w - 1.0).max())
+        assert abs(verify_markov(basis, t).lhs - dense_markov) <= 1e-13
+        images = (basis.values[:11] * w) @ table
+        dense_action = np.abs(images - decay[:11, None] * basis.values[:11]).max(axis=1)
+        report = verify_eigen_action(basis, t, 10)
+        assert abs(report.lhs - float(dense_action.max())) <= 1e-13
+        assert report.passed and report.context["max_index"] == 10
+
+
+def test_markov_catches_weights_off_by_a_millionth(legendre_space, legendre_basis):
+    # the factored row integrals see every weight: 1 + 1e-6 times the rule
+    # integrates each row to 1 + 1e-6, a hundred times the tolerance
+    heavier = MetricMeasureSpace(legendre_space.points, legendre_space.weights * (1.0 + 1e-6), METRIC_ARCCOS)
+    report = verify_markov(dataclasses.replace(legendre_basis, space=heavier), 0.5)
+    assert not report.passed
+    assert report.lhs == pytest.approx(1e-6, rel=1e-6)
 
 
 def test_eigenfunction_action(legendre_basis):

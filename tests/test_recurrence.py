@@ -13,11 +13,18 @@ from hypothesis import strategies as st
 from heatframe import DomainError
 from heatframe._recurrence import (
     JacobiParams,
-    evaluate_orthonormal,
     gauss_nodes,
+    orthonormal_rows,
     recurrence_coefficients,
 )
 from heatframe.cli import RunConfig
+
+
+def evaluate_orthonormal(gamma, alpha, degree, x):
+    """(values, derivatives) of p_0..p_degree at x, stacked from the rows the
+    recurrence yields one at a time."""
+    rows = list(orthonormal_rows(*recurrence_coefficients(gamma, alpha, degree), np.asarray(x, dtype=float)))
+    return np.array([v for v, _ in rows]), np.array([d for _, d in rows])
 
 
 def _reference_tables(gamma, alpha, degree, x):
@@ -147,6 +154,19 @@ def test_rule_and_tables_are_bitwise_those_of_the_full_tables(gamma, alpha, n):
     assert _same_bits(derivs, ref_derivs)
 
 
+def test_derivatives_stop_after_the_requested_rows():
+    nodes, _ = gauss_nodes(1.5, -0.5, 40)
+    coeffs = recurrence_coefficients(1.5, -0.5, 30)
+    full = list(orthonormal_rows(*coeffs, nodes))
+    partial = list(orthonormal_rows(*coeffs, nodes, deriv_rows=12))
+    for k, ((v, d), (v_part, d_part)) in enumerate(zip(full, partial)):
+        assert _same_bits(v_part, v)
+        if k < 12:
+            assert _same_bits(d_part, d)
+        else:
+            assert d_part is None
+
+
 def test_rule_keeps_linear_memory():
     # The three (n + 1) x n tables took a 128 MB peak at 2048 nodes.
     gauss_nodes(3.0, -0.5, 8)  # pay scipy's import outside the trace
@@ -157,6 +177,25 @@ def test_rule_keeps_linear_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20
+
+
+def test_total_mass_keeps_the_direct_gamma_form_where_it_is_finite():
+    for gamma, alpha in ((0.0, 0.0), (3.0, -0.5), (-0.5, -0.5), (80.0, 80.0)):
+        direct = 2.0 ** (gamma + alpha + 1.0) * math.gamma(gamma + 1.0) * math.gamma(alpha + 1.0) / math.gamma(
+            gamma + alpha + 2.0
+        )
+        assert recurrence_coefficients(gamma, alpha, 2)[2] == direct
+
+
+@pytest.mark.parametrize("gamma, alpha", [(100.0, 100.0), (160.0, 5.0), (200.0, 200.0)])
+def test_total_mass_survives_gamma_overflow(gamma, alpha):
+    # math.gamma raises at (100, 100) and (200, 200); at (160, 5) the product
+    # of the first two factors overflows to inf before the division
+    _, _, mu0 = recurrence_coefficients(gamma, alpha, 2)
+    beta_form = 2.0 ** (gamma + alpha + 1.0) * scipy.special.beta(gamma + 1.0, alpha + 1.0)
+    assert mu0 == pytest.approx(beta_form, rel=1e-12)
+    _, weights = gauss_nodes(gamma, alpha, 32)
+    assert float(weights.sum()) == pytest.approx(mu0, rel=1e-12)
 
 
 @pytest.mark.parametrize(
