@@ -52,6 +52,11 @@ class KernelOperator:
     domination: DominationCertificate | None = None
 
 
+# Entries per row block of the domination max: a few 1 MiB temporaries
+# instead of four N x N tables.
+_BLOCK_ENTRIES = 2**17
+
+
 def dominated_operator(
     space: MetricMeasureSpace,
     table: np.ndarray,
@@ -68,9 +73,12 @@ def dominated_operator(
     if table.shape != (space.n, space.n):
         raise ContractError("kernel table must cover all node pairs")
     nodes = np.arange(space.n)
-    env = envelope(space, params, nodes[:, None], nodes[None, :])
-    ratios = np.abs(table) / env
-    needed = float(ratios.max())
+    rows = max(1, _BLOCK_ENTRIES // space.n)
+    # per-entry arithmetic of the whole-table form, so the max is bitwise the same
+    needed = float(np.max([
+        (np.abs(table[start:start + rows]) / envelope(space, params, nodes[start:start + rows, None], nodes)).max()
+        for start in range(0, space.n, rows)
+    ]))
     if a_prime is None:
         a_prime = needed
     elif needed > a_prime * (1.0 + 1e-12):

@@ -7,6 +7,8 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -162,6 +164,35 @@ def test_verify_past_the_gamma_function_overflow_ends_in_one_error_line(capsys):
     # one reverse doubling ratio rounds to 1 - 1 ulp (non-monotone float ball volumes)
     assert errors == ["error: exponents must satisfy k_hat >= alpha_hat >= 0"]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["net", "kernel", "verify"])
+def test_rule_outside_the_float_range_ends_in_one_error_line_naming_it(command, tmp_path, capsys):
+    # at gamma = alpha = 200 the weights near +-1 lie below the smallest double
+    argv = [command, "--gamma", "200", "--alpha", "200", "--nodes", "1024", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: the Gauss rule of 1024 nodes for (gamma, alpha) = (200, 200) has weights outside the float64 range"
+    ]
+
+
+def test_the_program_never_imports_scipy():
+    script = (
+        "import sys, contextlib, io\n"
+        "import heatframe\n"
+        "from heatframe import cli\n"
+        "from heatframe.geometry import make_jacobi_space\n"
+        "make_jacobi_space(0.0, 0.0, 1024)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['verify', '--nodes', '64', '--degree', '51']) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 WEIGHT_EXPONENTS = st.floats(-1.0, 200.0, exclude_min=True, allow_nan=False)

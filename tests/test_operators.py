@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,18 +11,22 @@ from heatframe import (
     ContractError,
     DomainError,
     EnvelopeParams,
+    JacobiParams,
     KernelOperator,
     PreconditionError,
     apply_operator,
     band_decompose,
     band_index,
+    build_basis,
     build_maximal_net,
     build_partition,
     decomposition_to_csv,
     dominated_operator,
+    envelope,
     estimate_doubling,
     heat_kernel,
     lp_norm,
+    make_jacobi_space,
     random_polynomials,
     spectral_multiplier,
     verify_band_decomposition,
@@ -78,6 +83,23 @@ def _doubling(space):
     rng = np.random.default_rng(7)
     radii = rng.uniform(0.05, space.diameter / 3.0, size=12)
     return estimate_doubling(space, np.arange(space.n), radii)
+
+
+def test_domination_max_is_the_whole_table_max_within_one_table_of_memory():
+    space = make_jacobi_space(0.0, 0.0, 1024)
+    table = heat_kernel(build_basis(space, JacobiParams(0.0, 0.0), 200), 0.01).table
+    params = EnvelopeParams(delta=0.1, sigma_exp=5.0, k=2)
+    tracemalloc.start()
+    try:
+        op = dominated_operator(space, table, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nodes = np.arange(space.n)
+    whole = np.abs(table) / envelope(space, params, nodes[:, None], nodes[None, :])
+    assert op.domination.a_prime == float(whole.max())
+    # the whole-table form held four tables at once: a 32 MB peak
+    assert peak <= table.nbytes
 
 
 def test_young_bound_holds_for_heat_kernel(legendre_space, legendre_basis, rng):

@@ -10,7 +10,8 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatframe import DomainError
+from heatframe import DomainError, ExactnessError
+from heatframe import _recurrence
 from heatframe._recurrence import (
     JacobiParams,
     gauss_nodes,
@@ -45,17 +46,46 @@ def _reference_tables(gamma, alpha, degree, x):
     return values, derivs
 
 
-def _reference_rule(gamma, alpha, n):
-    """The rule from three full tables: two Newton passes and a column sum."""
+def _tabulated_weights(gamma, alpha, x):
+    """Christoffel weights at the nodes x as a column sum of the full table."""
+    n = x.size
+    values, _ = _reference_tables(gamma, alpha, n, x)
+    return 1.0 / np.sum(values[:n] ** 2, axis=0)
+
+
+def _scipy_rule(gamma, alpha, n):
+    """The oracle: scipy's eigenvalue rule refined by two Newton passes on
+    the full tables, with tabulated Christoffel weights."""
     x, _ = scipy.special.roots_jacobi(n, gamma, alpha)
     for _ in range(2):
         values, derivs = _reference_tables(gamma, alpha, n, x)
         x = x - values[n] / derivs[n]
-    x = np.clip(x, -1.0, 1.0)
-    values, _ = _reference_tables(gamma, alpha, n, x)
-    w = 1.0 / np.sum(values[:n] ** 2, axis=0)
-    order = np.argsort(x)
-    return x[order], w[order]
+    x = np.sort(np.clip(x, -1.0, 1.0))
+    return x, _tabulated_weights(gamma, alpha, x)
+
+
+# Two ulps of |x| just below 1: both rules round Newton's limit.
+NODE_ATOL = 4.5e-16
+WEIGHT_RTOL = 1e-12
+
+
+def _assert_same_rule(gamma, alpha, rule, ref_rule):
+    (nodes, weights), (ref_nodes, ref_weights) = rule, ref_rule
+    n = nodes.size
+    assert np.abs(nodes - ref_nodes).max() <= NODE_ATOL
+    # Where a node sits an ulp away from the oracle's, its weight moves with
+    # the Christoffel function, by |dx| |d log lambda / dx| with
+    # d log lambda / dx = -2 sum p_k p_k' / sum p_k^2: at the last node of
+    # (0, 2 - 4 ulp, 187) one ulp moves the weight by 1.24e-12.  Neither rule
+    # is the closer one in general (checked against 40-digit zeros).
+    values, derivs = evaluate_orthonormal(gamma, alpha, n - 1, ref_nodes)
+    slope = np.abs(2.0 * np.sum(values * derivs, axis=0) / np.sum(values**2, axis=0))
+    allowance = WEIGHT_RTOL + 2.0 * np.abs(nodes - ref_nodes) * slope
+    assert np.all(np.abs(weights / ref_weights - 1.0) <= allowance)
+
+
+def _assert_matches_the_oracle(gamma, alpha, nodes, weights):
+    _assert_same_rule(gamma, alpha, (nodes, weights), _scipy_rule(gamma, alpha, nodes.size))
 
 
 def _same_bits(a, b):
@@ -145,13 +175,112 @@ def test_rule_invariants_hold_for_any_parameters(gamma, alpha, n):
 )
 def test_rule_and_tables_are_bitwise_those_of_the_full_tables(gamma, alpha, n):
     nodes, weights = gauss_nodes(gamma, alpha, n)
-    ref_nodes, ref_weights = _reference_rule(gamma, alpha, n)
-    assert _same_bits(nodes, ref_nodes)
-    assert _same_bits(weights, ref_weights)
+    assert _same_bits(weights, _tabulated_weights(gamma, alpha, nodes))
+    _assert_matches_the_oracle(gamma, alpha, nodes, weights)
     values, derivs = evaluate_orthonormal(gamma, alpha, n, nodes)
     ref_values, ref_derivs = _reference_tables(gamma, alpha, n, nodes)
     assert _same_bits(values, ref_values)
     assert _same_bits(derivs, ref_derivs)
+
+
+ORACLE_WEIGHTS = [(0.0, 0.0), (-0.5, -0.5), (3.0, -0.5), (5.0, 20.0), (12.0, -0.9), (-0.99, -0.99), (40.0, 40.0),
+                  (100.0, 100.0)]
+
+
+@pytest.mark.parametrize("n", [2, 23, 64, 256, 512])
+@pytest.mark.parametrize("gamma, alpha", ORACLE_WEIGHTS)
+def test_rule_matches_the_refined_eigenvalue_rule(gamma, alpha, n):
+    _assert_matches_the_oracle(gamma, alpha, *gauss_nodes(gamma, alpha, n))
+
+
+def test_two_nodes_at_one_zero_beside_a_zero_without_a_node_are_caught():
+    # Newton's method sends the guesses of two nodes to the zero near 0.0031
+    # and none to the one near -0.0603; the counts at the midpoints still read
+    # n, n-1, ..., 0, and only the Newton radii show the pair
+    _assert_matches_the_oracle(0.0, 66.72831814696596, *gauss_nodes(0.0, 66.72831814696596, 35))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    gamma=st.floats(-1.0, 120.0, exclude_min=True),
+    alpha=st.floats(-1.0, 120.0, exclude_min=True),
+    n=st.integers(2, 96),
+)
+def test_rule_matches_the_refined_eigenvalue_rule_for_heavy_weights(gamma, alpha, n):
+    _assert_matches_the_oracle(gamma, alpha, *gauss_nodes(gamma, alpha, n))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    gamma=st.floats(-1.0, 20.0, exclude_min=True),
+    alpha=st.floats(-1.0, 20.0, exclude_min=True),
+    n=st.integers(2, 1024),
+)
+def test_nodes_separate_the_weight_as_the_gauss_rule_must(gamma, alpha, n):
+    # Chebyshev-Markov-Stieltjes (Szego, Thm 3.41.1): the weights up to a
+    # node bracket the measure of [-1, x_k], which is a regularised
+    # incomplete beta function; no eigenvalue rule is consulted.
+    nodes, weights = gauss_nodes(gamma, alpha, n)
+    _, _, mu0 = recurrence_coefficients(gamma, alpha, 0)
+    mass = mu0 * scipy.special.betainc(alpha + 1.0, gamma + 1.0, (1.0 + nodes) / 2.0)
+    upto = np.cumsum(weights)
+    tol = 1e-13 * mu0
+    assert np.all(upto - weights <= mass + tol)
+    assert np.all(mass <= upto + tol)
+
+
+def _pair_two_guesses(monkeypatch, every_other=False):
+    """Give the second node from each end (every other node with
+    ``every_other``) the asymptotic guess of its neighbour, so that Newton's
+    method sends both to one zero; return the ranks of the zeros handed to
+    the brackets (rank r: r zeros at or above it)."""
+    guesses, isolate = _recurrence._angle_guesses, _recurrence._isolate
+    bracketed = []
+
+    def paired(near, far, n, m):
+        phi = guesses(near, far, n, m)
+        if every_other:
+            phi[1::2] = phi[::2][: phi[1::2].size]
+        elif m > 1:
+            phi[1] = phi[0]
+        return phi
+
+    def spy(a, b, lo, hi, above_lo, above_hi, rank):
+        bracketed.extend(rank.tolist())
+        return isolate(a, b, lo, hi, above_lo, above_hi, rank)
+
+    monkeypatch.setattr(_recurrence, "_angle_guesses", paired)
+    monkeypatch.setattr(_recurrence, "_isolate", spy)
+    return bracketed
+
+
+@pytest.mark.parametrize("gamma, alpha, n", [(0.0, 0.0, 64), (3.0, -0.5, 256), (5.0, 20.0, 128)])
+def test_two_nodes_in_one_gap_fail_the_certificate_and_the_brackets_recover_the_rule(gamma, alpha, n, monkeypatch):
+    expected = gauss_nodes(gamma, alpha, n)
+    bracketed = _pair_two_guesses(monkeypatch)
+    nodes, weights = gauss_nodes(gamma, alpha, n)
+    # both nodes of a pair share a gap with one zero, so neither is kept
+    assert bracketed == [1, 2, n - 1, n]
+    _assert_same_rule(gamma, alpha, (nodes, weights), expected)
+    _assert_matches_the_oracle(gamma, alpha, nodes, weights)
+
+
+def test_bracketed_rule_keeps_linear_memory(monkeypatch):
+    bracketed = _pair_two_guesses(monkeypatch, every_other=True)
+    tracemalloc.start()
+    try:
+        nodes, _ = gauss_nodes(40.0, 40.0, 1024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(bracketed) == 1024  # every pair shares its gaps, so every zero is bracketed
+    assert peak <= 4 * 2**20
+    assert np.all(np.diff(nodes) > 0.0)
+
+
+def test_rule_outside_the_float_range_names_its_parameters():
+    with pytest.raises(ExactnessError, match=r"1024 nodes for \(gamma, alpha\) = \(200, 200\)"):
+        gauss_nodes(200.0, 200.0, 1024)
 
 
 def test_derivatives_stop_after_the_requested_rows():
@@ -169,7 +298,6 @@ def test_derivatives_stop_after_the_requested_rows():
 
 def test_rule_keeps_linear_memory():
     # The three (n + 1) x n tables took a 128 MB peak at 2048 nodes.
-    gauss_nodes(3.0, -0.5, 8)  # pay scipy's import outside the trace
     tracemalloc.start()
     try:
         gauss_nodes(3.0, -0.5, 2048)
@@ -209,10 +337,10 @@ def test_total_mass_survives_gamma_overflow(gamma, alpha):
     ids=["JacobiParams", "recurrence_coefficients", "gauss_nodes", "RunConfig.validate"],
 )
 def test_every_entry_point_rejects_exponents_at_most_minus_one(build, monkeypatch):
-    def scipy_reached(*args):
-        raise AssertionError("the exponents reached scipy unchecked")
+    def recurrence_reached(*args, **kwargs):
+        raise AssertionError("the exponents reached the recurrence unchecked")
 
-    monkeypatch.setattr(scipy.special, "roots_jacobi", scipy_reached)
+    monkeypatch.setattr(_recurrence, "orthonormal_rows", recurrence_reached)
     with pytest.raises(DomainError) as excinfo:
         build()
     assert str(excinfo.value) == "weight exponents must exceed -1"

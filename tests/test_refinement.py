@@ -96,7 +96,6 @@ def test_refinement_build_memory():
     # rows, so the Gram matrix (21 MiB) and one recurrence block (8 MiB)
     # dominate: 40 MiB with the rule's build.
     config = RunConfig(n_nodes=1024, degree=819)
-    cli._build(RunConfig(n_nodes=8, degree=7))  # pay scipy's imports outside the trace
     tracemalloc.start()
     try:
         basis = cli._build(config, doubled=True)
