@@ -23,9 +23,6 @@ from .errors import (
     TruncationWarning,
 )
 from .geometry import (
-    METRIC_ARCCOS,
-    METRIC_EUCLIDEAN,
-    METRIC_TABLE,
     DoublingProfile,
     MetricMeasureSpace,
     ball_volume,

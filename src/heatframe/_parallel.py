@@ -1,35 +1,15 @@
-"""Thread-pool helper honoring the HEATFRAME_THREADS cap.
+"""The serial map over the lemma pairs of ``envelope.verify_lemma_integrals``.
 
-Work items are independent and results are collected in submission order, so
-the outputs are identical whatever the worker count.
+It stays a function of its own only because the benchmark's per-layer tracer
+times it as a span.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, TypeVar
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 
-ENV_THREADS = "HEATFRAME_THREADS"
-
-
-def worker_count() -> int:
-    cap = os.environ.get(ENV_THREADS, "")
-    limit = min(4, os.cpu_count() or 1)
-    if cap.strip():
-        try:
-            limit = min(limit, max(1, int(cap)))
-        except ValueError:
-            pass
-    return max(1, limit)
-
 
 def ordered_map(fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
-    items = list(items)
-    workers = worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    return [fn(item) for item in items]

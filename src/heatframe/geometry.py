@@ -1,21 +1,17 @@
 """Discretized metric measure spaces on an interval.
 
-A space is a finite quadrature rule (points, positive weights) together with
-a metric on the points.  Three metrics are supported:
+A space is a finite quadrature rule (points, positive weights) on [-1, 1]
+with the intrinsic arccos metric d(x, y) = |arccos x - arccos y|, under which
+Jacobi-type weights are doubling up to the endpoints.  The points are
+stored in ascending order, as the Gauss rule returns them, so theta =
+arccos x is monotone along the stored order.
 
-* ``arccos``    d(x, y) = |arccos x - arccos y|, the intrinsic metric under
-                which Jacobi-type weights are doubling up to the endpoints;
-* ``euclidean`` d(x, y) = |x - y|;
-* ``custom-table`` an explicit symmetric distance matrix over the points.
-
-Balls are open and centred at nodes: B(x_i, r) = {x : d(x_i, x) < r}, and
-sigma(B) is the sum of the quadrature weights inside, computed by
-``ball_volume`` alone.  Under the arccos and euclidean metrics a ball is a
-contiguous run of the sorted nodes, so its volume is that run's weights
-summed directly, in O(N log N) for all node balls at once; only the
-custom-table metric masks rows of its N x N table.  On top of ball volumes
-the module estimates a doubling exponent and checks the three quantitative
-growth bounds used by every later estimate: scaled growth
+Balls are open: B(c, r) = {x : d(c, x) < r}, and sigma(B) is the sum of the
+quadrature weights inside.  Every open ball is a contiguous run of the
+nodes: ``ball_volume`` sums that run's weights directly, in O(N log N) for
+all node balls at once, and ``ball_members`` lists it.  On top of ball
+volumes the module estimates a doubling exponent and checks the three
+quantitative growth bounds used by every later estimate: scaled growth
 
     sigma(B(s, beta r)) <= (2 beta)^k sigma(B(s, r)),   beta >= 1,
 
@@ -39,22 +35,13 @@ from ._recurrence import gauss_nodes
 from .errors import ContractError, DomainError, SamplingError
 from .reporting import VerificationReport, make_report
 
-METRIC_ARCCOS = "arccos"
-METRIC_EUCLIDEAN = "euclidean"
-METRIC_TABLE = "custom-table"
-_METRIC_KINDS = (METRIC_ARCCOS, METRIC_EUCLIDEAN, METRIC_TABLE)
-
-_TRIANGLE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class MetricMeasureSpace:
-    """Finite point set with positive weights and one of the supported metrics."""
+    """Ascending points in [-1, 1] with positive weights and the arccos metric."""
 
     points: np.ndarray
     weights: np.ndarray
-    metric_kind: str = METRIC_EUCLIDEAN
-    dist_table: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         points = np.asarray(self.points, dtype=float)
@@ -67,41 +54,10 @@ class MetricMeasureSpace:
             raise ContractError("weights must align with points")
         if not np.all(weights > 0.0):
             raise DomainError("weights must be strictly positive")
-        if self.metric_kind not in _METRIC_KINDS:
-            raise DomainError(f"unknown metric kind: {self.metric_kind!r}")
-        if self.metric_kind == METRIC_ARCCOS:
-            if np.any(points < -1.0) or np.any(points > 1.0):
-                raise DomainError("arccos metric needs points in [-1, 1]")
-        if self.metric_kind == METRIC_TABLE:
-            table = self.dist_table
-            if table is None:
-                raise ContractError("custom-table metric needs dist_table")
-            table = np.asarray(table, dtype=float)
-            object.__setattr__(self, "dist_table", table)
-            n = points.size
-            if table.shape != (n, n):
-                raise ContractError("dist_table must be square over the points")
-            if np.abs(np.diag(table)).max(initial=0.0) > _TRIANGLE_TOL:
-                raise DomainError("dist_table diagonal must vanish")
-            if np.abs(table - table.T).max() > _TRIANGLE_TOL:
-                raise DomainError("dist_table must be symmetric")
-            if np.any(table < -_TRIANGLE_TOL):
-                raise DomainError("distances must be nonnegative")
-            self._check_triangle(table)
-        elif self.dist_table is not None:
-            raise ContractError("dist_table only applies to the custom-table metric")
-
-    @staticmethod
-    def _check_triangle(table: np.ndarray) -> None:
-        n = table.shape[0]
-        if n <= 40:
-            triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
-        else:
-            rng = np.random.default_rng(0)
-            triples = rng.integers(0, n, size=(500, 3)).tolist()
-        for i, j, k in triples:
-            if table[i, j] > table[i, k] + table[k, j] + _TRIANGLE_TOL:
-                raise DomainError("dist_table violates the triangle inequality")
+        if not np.all(np.diff(points) >= 0.0):
+            raise DomainError("points must be in ascending order")
+        if not (points[0] >= -1.0 and points[-1] <= 1.0):
+            raise DomainError("points must lie in [-1, 1]")
 
     @property
     def n(self) -> int:
@@ -113,18 +69,14 @@ class MetricMeasureSpace:
 
     @cached_property
     def _theta(self) -> np.ndarray:
+        """arccos of the points: nonincreasing along the stored order."""
         return np.arccos(self.points)
 
     @cached_property
-    def _coords(self) -> np.ndarray:
-        """Node coordinates an interval metric measures: theta or the points."""
-        return self._theta if self.metric_kind == METRIC_ARCCOS else self.points
-
-    @cached_property
     def _sorted_nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted node coordinates and their weights, padded with (inf, 0)."""
-        order = np.argsort(self._coords, kind="stable")
-        return np.append(self._coords[order], np.inf), np.append(self.weights[order], 0.0)
+        """theta ascending (the stored order reversed) and its weights,
+        padded with (inf, 0)."""
+        return np.append(self._theta[::-1], np.inf), np.append(self.weights[::-1], 0.0)
 
     @cached_property
     def _node_ball_volumes(self) -> dict[float, np.ndarray]:
@@ -132,34 +84,12 @@ class MetricMeasureSpace:
         return {}
 
     @cached_property
-    def distance_matrix(self) -> np.ndarray:
-        if self.metric_kind == METRIC_TABLE:
-            return self.dist_table
-        coords = self._coords
-        return np.abs(coords[:, None] - coords[None, :])
-
-    @cached_property
     def diameter(self) -> float:
-        if self.metric_kind == METRIC_TABLE:
-            return float(self.dist_table.max())
-        # the largest |c_i - c_j| is |max - min|: rounding is monotone
-        return float(abs(self._coords.max() - self._coords.min()))
+        return float(self._theta[0] - self._theta[-1])
 
     def node_distances(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """d(x_i, x_j) for paired node indices, equal to ``distance_matrix[i, j]``."""
-        if self.metric_kind == METRIC_TABLE:
-            return self.dist_table[i, j]
-        return np.abs(self._coords[i] - self._coords[j])
-
-    def distances_from(self, center: float) -> np.ndarray:
-        """Distances from a coordinate, not necessarily a node, to every node."""
-        if self.metric_kind == METRIC_TABLE:
-            raise DomainError("custom-table metric only measures distances between nodes")
-        if self.metric_kind == METRIC_ARCCOS:
-            if center < -1.0 or center > 1.0:
-                raise DomainError("arccos metric needs a center in [-1, 1]")
-            return np.abs(self._theta - math.acos(center))
-        return np.abs(self.points - float(center))
+        """d(x_i, x_j) for node indices broadcast against each other."""
+        return np.abs(self._theta[i] - self._theta[j])
 
 
 def make_jacobi_space(gamma: float, alpha: float, n_nodes: int) -> MetricMeasureSpace:
@@ -167,12 +97,12 @@ def make_jacobi_space(gamma: float, alpha: float, n_nodes: int) -> MetricMeasure
 
     The rule integrates polynomials up to degree 2 n_nodes - 1 exactly, so
     the discrete measure reproduces every moment a basis of degree
-    n_nodes - 1 can probe.  The metric is the intrinsic arccos metric.
+    n_nodes - 1 can probe.
     """
     if n_nodes < 2:
         raise DomainError("need at least two quadrature nodes")
     x, w = gauss_nodes(gamma, alpha, n_nodes)
-    return MetricMeasureSpace(points=x, weights=w, metric_kind=METRIC_ARCCOS)
+    return MetricMeasureSpace(points=x, weights=w)
 
 
 def ball_volume(space: MetricMeasureSpace, nodes: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -184,9 +114,7 @@ def ball_volume(space: MetricMeasureSpace, nodes: np.ndarray, radii: np.ndarray)
     nodes, radii = np.broadcast_arrays(np.asarray(nodes), np.asarray(radii, dtype=float))
     if np.any(radii < 0.0):
         raise DomainError("radius must be nonnegative")
-    if space.metric_kind == METRIC_TABLE:
-        return (space.dist_table[nodes] < radii[..., None]) @ space.weights
-    volumes = _run_volumes(space, space._coords[nodes.ravel()], radii.ravel())
+    volumes = _run_volumes(space, space._theta[nodes.ravel()], radii.ravel())
     return volumes.reshape(radii.shape)
 
 
@@ -205,19 +133,29 @@ def ball_volumes_at_nodes(space: MetricMeasureSpace, r: float) -> np.ndarray:
     return volumes
 
 
-def _run_volumes(space: MetricMeasureSpace, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """sigma(B(c_i, r_i)) under an interval metric, from the sorted nodes.
+def ball_members(space: MetricMeasureSpace, center: float, r: float) -> np.ndarray:
+    """Indices of the nodes in B(center, r), in stored order.
 
-    ``centers`` are metric coordinates (theta under arccos), ``radii`` are
-    nonnegative and of the same length.  An open ball is a contiguous run of
-    the sorted nodes, since rounding keeps |s - c| monotone on each side of c.
-    searchsorted places the run's ends to within a rounding; the open-ball
-    predicate |s - c| < r, evaluated as the distance functions evaluate it,
-    then settles each end exactly.  Each run is summed directly: a prefix-sum
-    difference would lose a ball whose mass sits far below the mass to its
-    left.
+    ``center`` is a coordinate in [-1, 1], not necessarily a node.
     """
-    coords, weights = space._sorted_nodes
+    if not -1.0 <= center <= 1.0:
+        raise DomainError("ball centers must lie in [-1, 1]")
+    lo, hi = _runs(space, np.array([math.acos(center)]), np.array([float(r)]))
+    # the sorted nodes are the stored ones reversed
+    return np.arange(space.n - hi[0], space.n - lo[0])
+
+
+def _runs(space: MetricMeasureSpace, centers: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each open ball B(c_i, r_i) as the run [lo_i, hi_i) of the sorted nodes.
+
+    ``centers`` are theta coordinates, ``radii`` are nonnegative and of the
+    same length.  An open ball is a contiguous run of the sorted nodes, since
+    rounding keeps |s - c| monotone on each side of c.  searchsorted places
+    the run's ends to within a rounding; the open-ball predicate |s - c| < r,
+    evaluated as ``node_distances`` evaluates it, then settles each end
+    exactly.
+    """
+    coords, _ = space._sorted_nodes
 
     def inside(k: np.ndarray) -> np.ndarray:
         return np.abs(coords[k] - centers) < radii
@@ -238,6 +176,17 @@ def _run_volumes(space: MetricMeasureSpace, centers: np.ndarray, radii: np.ndarr
         if not (down.any() or up.any()):
             break
         hi = hi - down + up
+    return lo, hi
+
+
+def _run_volumes(space: MetricMeasureSpace, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """sigma(B(c_i, r_i)) from the runs of ``_runs``.
+
+    Each run is summed directly: a prefix-sum difference would lose a ball
+    whose mass sits far below the mass to its left.
+    """
+    _, weights = space._sorted_nodes
+    lo, hi = _runs(space, centers, radii)
     # reduceat also sums each gap between consecutive runs; in order of lo
     # those gaps add up to at most n nodes
     order = np.argsort(lo, kind="stable")  # timsort is linear on monotone runs
@@ -313,7 +262,10 @@ def estimate_doubling(
     if np.any(radii <= 0.0):
         raise DomainError("radii must be positive")
     grid = centers[:, None]
-    ratios = ball_volume(space, grid, 2.0 * radii) / ball_volume(space, grid, radii)
+    vol_r = ball_volume(space, grid, radii)
+    # B(x, r) lies in B(x, 2r): a ratio below 1 is the two runs' different
+    # summation orders, not the measure
+    ratios = np.maximum(ball_volume(space, grid, 2.0 * radii), vol_r) / vol_r
     reverse_ratios = ratios[:, radii <= space.diameter / 3.0]
     k_hat = math.log2(float(ratios.max()))
     alpha_hat = math.log2(float(reverse_ratios.min())) if reverse_ratios.size else 0.0

@@ -197,7 +197,16 @@ def verify_eigen_action(
 
 
 def _nearest_indices(space: MetricMeasureSpace, coords: Sequence[float]) -> np.ndarray:
-    return np.array([int(np.argmin(np.abs(space.points - c))) for c in coords], dtype=int)
+    """Index of the node nearest each coordinate; a tie goes to the lower index.
+
+    The points ascend, so the nearest node is one of the two that bracket
+    the coordinate.
+    """
+    x = space.points
+    c = np.asarray(coords, dtype=float)
+    hi = np.minimum(np.searchsorted(x, c), space.n - 1)
+    lo = np.maximum(hi - 1, 0)
+    return np.where(np.abs(x[lo] - c) <= np.abs(x[hi] - c), lo, hi)
 
 
 def _split_slope(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:

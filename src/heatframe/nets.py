@@ -57,13 +57,17 @@ class Net:
 def build_maximal_net(space: MetricMeasureSpace, delta: float) -> Net:
     """Greedy sweep in stored point order; admits a point iff it is at least
     delta from every admitted center.  The result is delta-separated and
-    maximal, hence covers the space within radius strictly below delta."""
+    maximal, hence covers the space within radius strictly below delta.
+
+    theta is monotone along the stored order, so the last admitted center
+    is the nearest one, and rounding keeps it so: one comparison per point.
+    """
     if delta <= 0.0:
         raise DomainError("delta must be positive")
-    D = space.distance_matrix
-    centers: list[int] = []
-    for idx in range(space.n):
-        if all(D[idx, c] >= delta for c in centers):
+    theta = space._theta.tolist()
+    centers = [0]
+    for idx in range(1, space.n):
+        if abs(theta[idx] - theta[centers[-1]]) >= delta:
             centers.append(idx)
     return Net(delta=delta, centers=np.array(centers, dtype=int))
 
@@ -73,8 +77,8 @@ def _check_net(space: MetricMeasureSpace, net: Net) -> np.ndarray:
     centers = net.centers
     if centers.min(initial=0) < 0 or centers.max(initial=0) >= space.n:
         raise ContractError("net centers must index points of the space")
-    D = space.distance_matrix[:, centers]
-    center_gaps = space.distance_matrix[np.ix_(centers, centers)]
+    D = space.node_distances(np.arange(space.n)[:, None], centers)
+    center_gaps = D[centers]
     m = centers.size
     off = center_gaps + np.eye(m) * (net.delta + 1.0)
     if off.min() < net.delta - _SEP_TOL:

@@ -58,6 +58,8 @@ CALLS = [
     _verify(-1.0, 0.0, 64, 40),  # exit 2: exponent at -1
     ["kernel", "--gamma", "0.5", "--alpha", "-0.5", "--nodes", "64", "--degree", "51", "--t", "0.3"],
     ["net", "--gamma", "3.0", "--alpha", "-0.5", "--nodes", "64", "--delta", "0.1"],
+    ["net", "--nodes", "1024", "--delta", "0.05"],  # the benchmark's export shape
+    ["net", "--gamma", "40", "--alpha", "40", "--nodes", "512", "--delta", "0.1"],
     ["decompose", "--gamma", "-0.5", "--alpha", "-0.5", "--nodes", "64", "--degree", "51", "--seed", "6"],
 ]
 

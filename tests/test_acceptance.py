@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 
+from dense_metric import distance_table
 from heatframe import (
     EnvelopeParams,
     EstimateConstants,
@@ -114,13 +115,14 @@ def test_criterion_04_net_invariants(legendre_space):
     ok = True
     for delta in (0.05, 0.1, 0.2):
         net = build_partition(space, build_maximal_net(space, delta))
-        center_d = space.distance_matrix[np.ix_(net.centers, net.centers)]
+        table = distance_table(space)
+        center_d = table[np.ix_(net.centers, net.centers)]
         off = center_d[~np.eye(net.size, dtype=bool)]
         separation_ok = bool(off.min() >= delta) if net.size > 1 else True
-        to_centers = space.distance_matrix[:, net.centers]
+        to_centers = table[:, net.centers]
         covering_ok = bool(to_centers.min(axis=1).max() <= delta)
         assign = net.assignment
-        own = space.distance_matrix[np.arange(space.n), net.centers[assign]]
+        own = table[np.arange(space.n), net.centers[assign]]
         outer_ok = bool(own.max() < delta)
         inner_ok = all(
             np.all(assign[to_centers[:, j] < delta / 2.0] == j)

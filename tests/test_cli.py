@@ -156,13 +156,32 @@ def test_exports_accept_weights_past_the_gamma_function_overflow(command, tmp_pa
     assert main(argv) == 0
 
 
+def _young_overflow(log_constant, k):
+    return (
+        f"error: Young constant a' a_hat^(k(1/r - 1)) 2^(2k+1) overflows (log {log_constant} at k = {k});"
+        " the mapping bound is vacuous"
+    )
+
+
 def test_verify_past_the_gamma_function_overflow_ends_in_one_error_line(capsys):
     argv = ["verify", "--gamma", "100", "--alpha", "100", "--nodes", "256", "--degree", "255"]
     assert main(argv) == 2
     err = capsys.readouterr().err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
-    # one reverse doubling ratio rounds to 1 - 1 ulp (non-monotone float ball volumes)
-    assert errors == ["error: exponents must satisfy k_hat >= alpha_hat >= 0"]
+    assert errors == [_young_overflow("4001.35", 93)]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("weight, k, log_constant", [(60, 70, "2493.41"), (80, 82, "3261.42")])
+def test_doubling_ratios_summed_to_one_below_one_do_not_end_the_run(weight, k, log_constant, capsys):
+    # some sampled ratios sigma(B(x, 2r))/sigma(B(x, r)) sum to 1 - 1 ulp;
+    # read as 1, they let the run go on to the Young constant, which this k
+    # puts past the float range
+    argv = ["verify", "--gamma", str(weight), "--alpha", str(weight), "--nodes", "256", "--degree", "255"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == [_young_overflow(log_constant, k)]
     assert "Traceback" not in err
 
 
@@ -245,14 +264,3 @@ def test_negative_exponent_notation_values_parse_as_separate_tokens(command, tmp
     assert main(argv) in (0, 1)
     err = capsys.readouterr().err
     assert "error" not in err and "Traceback" not in err
-
-
-def test_thread_count_changes_no_byte_of_the_verdict(monkeypatch, tmp_path):
-    argv = ["verify", "--gamma", "0.5", "--alpha", "-0.5", "--nodes", "96", "--degree", "76"]
-    documents = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("HEATFRAME_THREADS", threads)
-        out = tmp_path / f"verify-{threads}.json"
-        assert main([*argv, "--out", str(out)]) == 0
-        documents.append(out.read_bytes())
-    assert documents[0] == documents[1]

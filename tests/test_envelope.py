@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_metric import distance_table
 from heatframe import (
-    METRIC_TABLE,
     DomainError,
     EnvelopeParams,
     EstimateConstants,
@@ -61,17 +61,12 @@ def test_a_p_is_nonincreasing_in_p():
 
 
 def test_envelope_hand_value_on_tiny_space():
-    table = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
-    tiny = MetricMeasureSpace(
-        points=np.array([0.0, 1.0, 2.0]),
-        weights=np.ones(3),
-        metric_kind=METRIC_TABLE,
-        dist_table=table,
-    )
+    tiny = MetricMeasureSpace(points=np.array([-1.0, 0.0, 1.0]), weights=np.ones(3))
     params = EnvelopeParams(delta=1.0, sigma_exp=2.0, k=1)
-    # Open unit balls at the endpoints hold only their own unit mass, and
-    # the distance between them is 2: E = (1*1)^(-1/2) * (1 + 2)^-2 = 1/9.
-    assert envelope(tiny, params, 0, 2) == pytest.approx(1.0 / 9.0, rel=1e-15)
+    # Neighbours sit pi/2 apart, so open unit balls at the endpoints hold
+    # only their own unit mass, and the distance between them is pi:
+    # E = (1*1)^(-1/2) * (1 + pi)^-2.
+    assert envelope(tiny, params, 0, 2) == pytest.approx((1.0 + math.pi) ** -2, rel=1e-15)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -98,7 +93,7 @@ def test_envelope_matrix_is_bitwise_the_dense_table_expression(gamma, alpha):
     params = EnvelopeParams(delta=0.2, sigma_exp=5.0, k=2)
     vols = ball_volumes_at_nodes(space, params.delta)
     scale = (vols[:, None] * vols[None, :]) ** -0.5
-    dense = scale * (1.0 + space.distance_matrix / params.delta) ** -params.sigma_exp
+    dense = scale * (1.0 + distance_table(space) / params.delta) ** -params.sigma_exp
     nodes = np.arange(space.n)
     assert np.array_equal(envelope(space, params, nodes[:, None], nodes[None, :]), dense)
 

@@ -1,4 +1,4 @@
-"""Space construction, metric validation, ball counting, doubling estimates."""
+"""Space construction and validation, ball counting, doubling estimates."""
 
 import math
 
@@ -7,10 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_metric import dense_volumes, distance_table
 from heatframe import (
-    METRIC_ARCCOS,
-    METRIC_EUCLIDEAN,
-    METRIC_TABLE,
     DomainError,
     MetricMeasureSpace,
     ball_volume,
@@ -19,17 +17,12 @@ from heatframe import (
     make_jacobi_space,
     verify_ball_growth,
 )
+from heatframe.geometry import ball_members
 
 
-def _table_space(weights=(1.0, 2.0, 4.0)):
-    """Three points on a line with unit spacing and hand-picked masses."""
-    table = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
-    return MetricMeasureSpace(
-        points=np.array([0.0, 1.0, 2.0]),
-        weights=np.array(weights, dtype=float),
-        metric_kind=METRIC_TABLE,
-        dist_table=table,
-    )
+def _three_point_space(weights=(1.0, 2.0, 4.0)):
+    """x = -1, 0, 1 (theta = pi, pi/2, 0) with hand-picked masses."""
+    return MetricMeasureSpace(points=np.array([-1.0, 0.0, 1.0]), weights=np.array(weights, dtype=float))
 
 
 def test_flat_weight_total_mass_is_two(legendre_space):
@@ -43,13 +36,13 @@ def test_chebyshev_total_mass_is_pi():
 
 def test_arc_metric_closed_forms():
     space = MetricMeasureSpace(
-        points=np.array([1.0, -1.0, 0.3, math.cos(math.pi / 4)]),
+        points=np.array([-1.0, 0.3, math.cos(math.pi / 4), 1.0]),
         weights=np.ones(4),
-        metric_kind=METRIC_ARCCOS,
     )
-    assert space.node_distances(0, 1) == pytest.approx(math.pi, abs=1e-14)
-    assert space.node_distances(2, 2) == 0.0
-    assert space.node_distances(0, 3) == pytest.approx(math.pi / 4, abs=1e-14)
+    assert space.node_distances(3, 0) == pytest.approx(math.pi, abs=1e-14)
+    assert space.node_distances(1, 1) == 0.0
+    assert space.node_distances(3, 2) == pytest.approx(math.pi / 4, abs=1e-14)
+    assert space.diameter == pytest.approx(math.pi, abs=1e-14)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -59,49 +52,62 @@ def test_arc_metric_closed_forms():
     z=st.floats(-1.0, 1.0),
 )
 def test_arc_metric_triangle_inequality(x, y, z):
-    space = MetricMeasureSpace(
-        points=np.array([x, y, z]),
-        weights=np.array([1.0, 1.0, 1.0]),
-        metric_kind=METRIC_ARCCOS,
-    )
+    space = MetricMeasureSpace(points=np.sort([x, y, z]), weights=np.array([1.0, 1.0, 1.0]))
     d = space.node_distances
-    assert d(0, 2) <= d(0, 1) + d(1, 2) + 1e-12
+    for i, j, k in ((0, 2, 1), (0, 1, 2), (1, 2, 0)):
+        assert d(i, j) <= d(i, k) + d(k, j) + 1e-12
     assert d(0, 1) == d(1, 0)
 
 
-def test_table_space_validation_rejects_bad_input():
-    table = np.array([[0.0, 1.0], [1.0, 0.0]])
-    points = np.array([0.0, 1.0])
+def test_space_validation_rejects_bad_input():
     with pytest.raises(DomainError):
-        MetricMeasureSpace(points, np.array([1.0, -1.0]), METRIC_TABLE, table)
+        MetricMeasureSpace(np.array([0.0, 0.5]), np.array([1.0, -1.0]))
+    with pytest.raises(DomainError):  # the Gauss rule returns ascending points
+        MetricMeasureSpace(np.array([0.5, 0.0]), np.ones(2))
     with pytest.raises(DomainError):
-        MetricMeasureSpace(
-            points, np.array([1.0, 1.0]), METRIC_TABLE, np.array([[0.0, 1.0], [2.0, 0.0]])
-        )
+        MetricMeasureSpace(np.array([0.0, 1.5]), np.ones(2))
     with pytest.raises(DomainError):
-        MetricMeasureSpace(
-            points, np.array([1.0, 1.0]), METRIC_TABLE, np.array([[0.5, 1.0], [1.0, 0.0]])
-        )
-    bad_triangle = np.array(
-        [[0.0, 1.0, 9.0], [1.0, 0.0, 1.0], [9.0, 1.0, 0.0]]
-    )
+        MetricMeasureSpace(np.array([-1.5, 0.0]), np.ones(2))
     with pytest.raises(DomainError):
-        MetricMeasureSpace(
-            np.array([0.0, 1.0, 2.0]), np.ones(3), METRIC_TABLE, bad_triangle
-        )
+        MetricMeasureSpace(np.array([0.0, np.nan]), np.ones(2))
+    MetricMeasureSpace(np.array([-1.0, 0.0, 0.0, 1.0]), np.ones(4))  # ties are ascending
 
 
 def test_ball_volume_hand_counts():
-    space = _table_space()  # node i sits at coordinate i
-    assert ball_volume(space, 0, 1.5) == pytest.approx(3.0)  # masses 1 + 2
+    space = _three_point_space()  # neighbours sit pi/2 apart
+    assert ball_volume(space, 0, 2.0) == pytest.approx(3.0)  # masses 1 + 2
     assert ball_volume(space, 0, 0.0) == 0.0
     assert ball_volume(space, 1, 5.0) == pytest.approx(7.0)  # everything
     assert ball_volume(space, 2, 1.0) == pytest.approx(4.0)  # open ball: itself
     # index and radius arrays broadcast against each other
-    grid = ball_volume(space, np.array([[0], [2]]), np.array([0.0, 1.0, 1.5]))
+    grid = ball_volume(space, np.array([[0], [2]]), np.array([0.0, 1.0, 2.0]))
     assert np.array_equal(grid, [[0.0, 1.0, 3.0], [0.0, 4.0, 6.0]])
-    with pytest.raises(DomainError):  # a table measures distances between nodes only
-        space.distances_from(0.5)
+
+
+def test_ball_members_at_coordinate_centers():
+    space = _three_point_space()
+    assert ball_members(space, -1.0, 2.0).tolist() == [0, 1]
+    assert ball_members(space, 0.0, 2.0).tolist() == [0, 1, 2]
+    assert ball_members(space, 1.0, 1.0).tolist() == [2]
+    assert ball_members(space, 0.5, 0.1).tolist() == []  # between the nodes
+    with pytest.raises(DomainError):
+        ball_members(space, 1.5, 1.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    gamma=st.floats(-0.9, 6.0),
+    alpha=st.floats(-0.9, 6.0),
+    n=st.integers(2, 96),
+    center=st.floats(-1.0, 1.0),
+    scale=st.floats(0.0, 1.0),
+)
+def test_ball_members_match_the_dense_mask_in_stored_order(gamma, alpha, n, center, scale):
+    space = make_jacobi_space(gamma, alpha, n)
+    gaps = np.abs(np.arccos(space.points) - math.acos(center))
+    gap = float(gaps[int(scale * (n - 1))])  # an exact open-ball boundary
+    for r in (gap, np.nextafter(gap, np.inf), scale * space.diameter):
+        assert ball_members(space, center, r).tolist() == np.flatnonzero(gaps < r).tolist()
 
 
 def test_ball_volumes_at_nodes_matches_pointwise(legendre_space):
@@ -109,15 +115,6 @@ def test_ball_volumes_at_nodes_matches_pointwise(legendre_space):
     vols = ball_volumes_at_nodes(legendre_space, r)
     expected = [ball_volume(legendre_space, i, r) for i in range(legendre_space.n)]
     assert vols == pytest.approx(expected, rel=1e-15)
-
-
-def _dense_volumes(space, r):
-    """The N x N reference: sigma(B(x_i, r)) = (D < r) @ w."""
-    return (space.distance_matrix < r) @ space.weights
-
-
-def _as_table(space):
-    return MetricMeasureSpace(space.points, space.weights, METRIC_TABLE, space.distance_matrix)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -129,35 +126,25 @@ def _as_table(space):
     scale=st.floats(0.0, 1.0),
 )
 def test_sorted_runs_match_custom_table_oracle(gamma, alpha, n, pick, scale):
+    """The oracle is the dense open-ball mask over the test's own N x N table."""
     space = make_jacobi_space(gamma, alpha, n)
+    table = distance_table(space)
     i, j = pick[0] % n, pick[1] % n
-    gap = float(space.distance_matrix[i, j])  # an exact open-ball boundary
+    gap = float(table[i, j])  # an exact open-ball boundary
     radii = [r for r in (gap, np.nextafter(gap, np.inf), scale * space.diameter) if r > 0.0]
-    table = _as_table(space)
-    counts = MetricMeasureSpace(space.points, np.ones(n), METRIC_ARCCOS)
-    count_table = _as_table(counts)
+    counts = MetricMeasureSpace(space.points, np.ones(n))
     for r in radii:
         np.testing.assert_allclose(
-            ball_volumes_at_nodes(space, r), ball_volumes_at_nodes(table, r), rtol=1e-13, atol=0.0
+            ball_volumes_at_nodes(space, r), (table < r) @ space.weights, rtol=1e-13, atol=0.0
         )
-        assert np.array_equal(ball_volumes_at_nodes(counts, r), ball_volumes_at_nodes(count_table, r))
+        assert np.array_equal(ball_volumes_at_nodes(counts, r), (table < r).sum(axis=1))
     # one batched call over a (node x radius) grid, the empty ball included
     nodes = np.arange(n)[:, None]
     grid = np.array([*radii, 0.0])
-    np.testing.assert_allclose(
-        ball_volume(space, nodes, grid), ball_volume(table, nodes, grid), rtol=1e-13, atol=0.0
-    )
-    assert np.array_equal(ball_volume(counts, nodes, grid), ball_volume(count_table, nodes, grid))
+    masks = table[:, None, :] < grid[None, :, None]
+    np.testing.assert_allclose(ball_volume(space, nodes, grid), masks @ space.weights, rtol=1e-13, atol=0.0)
+    assert np.array_equal(ball_volume(counts, nodes, grid), masks.sum(axis=2))
     assert not ball_volume(space, nodes, 0.0).any()
-
-
-def test_sorted_runs_count_shuffled_euclidean_nodes_exactly():
-    rng = np.random.default_rng(3)
-    points = rng.permutation(np.round(rng.uniform(-2.0, 2.0, size=300), 2))  # ties included
-    space = MetricMeasureSpace(points, np.ones(points.size), METRIC_EUCLIDEAN)
-    gaps = np.abs(points[:20] - points[20:40])
-    for r in (*gaps[gaps > 0], 1e-3, 0.25, 1.0, 5.0):
-        assert np.array_equal(ball_volumes_at_nodes(space, r), _dense_volumes(space, r))
 
 
 def test_sorted_runs_keep_tiny_balls_of_a_heavy_weight():
@@ -165,7 +152,7 @@ def test_sorted_runs_keep_tiny_balls_of_a_heavy_weight():
     # difference there keeps nothing of it.
     space = make_jacobi_space(5.0, 20.0, 512)
     vols = ball_volumes_at_nodes(space, 0.05)
-    dense = _dense_volumes(space, 0.05)
+    dense = dense_volumes(space, 0.05)
     assert vols.min() < 1e-45 * space.total_mass
     np.testing.assert_allclose(vols, dense, rtol=1e-13, atol=0.0)
 
@@ -174,8 +161,9 @@ def _doubling_by_loop(space, centers, radii):
     """estimate_doubling as a per-center loop over rows of the distance table."""
     reverse_cut = space.diameter / 3.0
     ratios, reverse_ratios, unit_masses = [], [], []
+    table = distance_table(space)
     for c in centers:
-        d = space.distance_matrix[c]
+        d = table[c]
         unit_masses.append(float(space.weights[d < 1.0].sum()))
         for r in radii:
             ratio = float(space.weights[d < 2.0 * r].sum()) / float(space.weights[d < r].sum())
@@ -206,29 +194,27 @@ def test_estimate_doubling_resolves_tiny_node_balls():
     assert profile.a_noncollapse > 0.0
 
 
-@pytest.mark.parametrize("metric", [METRIC_ARCCOS, METRIC_EUCLIDEAN])
-def test_diameter_equals_table_maximum_bitwise(metric):
+def test_diameter_equals_table_maximum_bitwise():
     rng = np.random.default_rng(8)
     points = np.sort(rng.uniform(-1.0, 1.0, size=257))
-    for pts in (points, rng.permutation(points)):
-        space = MetricMeasureSpace(pts, np.ones(pts.size), metric)
-        assert space.diameter == float(space.distance_matrix.max())
+    for pts in (points, np.array([-1.0, *points, 1.0])):
+        space = MetricMeasureSpace(pts, np.ones(pts.size))
+        assert space.diameter == float(distance_table(space).max())
     jacobi = make_jacobi_space(3.0, -0.5, 300)
-    assert jacobi.diameter == float(jacobi.distance_matrix.max())
+    assert jacobi.diameter == float(distance_table(jacobi).max())
 
 
 def test_node_distances_equal_table_entries(legendre_space):
     i = np.arange(legendre_space.n)
     j = i[::-1]
-    assert np.array_equal(legendre_space.node_distances(i, j), legendre_space.distance_matrix[i, j])
+    assert np.array_equal(legendre_space.node_distances(i, j), distance_table(legendre_space)[i, j])
 
 
 def test_uniform_line_has_dimension_one():
-    # Equal masses on an evenly spaced line: volume grows linearly in r.
+    # Equal masses at evenly spaced theta: volume grows linearly in r.
     n, h = 200, 0.01
-    idx = np.arange(n, dtype=float)
-    table = np.abs(idx[:, None] - idx[None, :]) * h
-    space = MetricMeasureSpace(idx, np.full(n, h), METRIC_TABLE, table)
+    theta = np.pi / 2 + (np.arange(n) - n / 2) * h
+    space = MetricMeasureSpace(np.cos(theta)[::-1], np.full(n, h))
     rng = np.random.default_rng(0)
     centers = np.arange(n // 3, 2 * n // 3)
     radii = rng.uniform(5 * h, 20 * h, size=10)
@@ -236,6 +222,20 @@ def test_uniform_line_has_dimension_one():
     assert 0.9 <= profile.k_hat <= 1.35
     assert profile.k_hat >= profile.alpha_hat >= 0.0
     assert profile.a_caret == 2.0 ** (-profile.k_hat) * profile.a_noncollapse
+
+
+def test_doubling_ratios_never_fall_below_one():
+    # B(x, r) lies in B(x, 2r), but the two runs are summed in different
+    # orders: on the radii `verify` draws at (80, 80), some ratios come out
+    # 1 - 2^-53
+    space = make_jacobi_space(80.0, 80.0, 256)
+    radii = np.random.default_rng(0).uniform(0.02 * space.diameter, space.diameter / 3.0, size=12)
+    centers = np.arange(space.n)
+    raw = ball_volume(space, centers[:, None], 2.0 * radii) / ball_volume(space, centers[:, None], radii)
+    assert raw.min() < 1.0
+    profile = estimate_doubling(space, centers, radii)
+    assert profile.alpha_hat == 0.0
+    assert profile.k_hat == math.log2(float(raw.max()))
 
 
 def test_doubling_profile_on_standard_space(legendre_space):

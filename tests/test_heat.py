@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from heatframe import (
-    METRIC_ARCCOS,
     DomainError,
     ExactnessError,
     JacobiParams,
@@ -26,6 +25,7 @@ from heatframe import (
     verify_markov,
     verify_semigroup,
 )
+from heatframe.heat import _nearest_indices
 
 
 def test_two_node_kernel_matches_closed_form():
@@ -178,7 +178,7 @@ def test_factored_identities_match_a_dense_table(gamma, alpha):
 def test_markov_catches_weights_off_by_a_millionth(legendre_space, legendre_basis):
     # the factored row integrals see every weight: 1 + 1e-6 times the rule
     # integrates each row to 1 + 1e-6, a hundred times the tolerance
-    heavier = MetricMeasureSpace(legendre_space.points, legendre_space.weights * (1.0 + 1e-6), METRIC_ARCCOS)
+    heavier = MetricMeasureSpace(legendre_space.points, legendre_space.weights * (1.0 + 1e-6))
     report = verify_markov(dataclasses.replace(legendre_basis, space=heavier), 0.5)
     assert not report.passed
     assert report.lhs == pytest.approx(1e-6, rel=1e-6)
@@ -202,6 +202,21 @@ def test_gaussian_fit_produces_finite_positive_constants(legendre_basis, rng):
     assert ctx["K"] > 0.0 and ctx["a"] > 0.0
     assert ctx["n_nonpositive"] == 0
     assert ctx["n_used"] + ctx["n_below_floor"] <= ctx["n_samples"]
+
+
+@pytest.mark.parametrize("gamma, alpha, n", [(0.0, 0.0, 64), (3.0, -0.5, 97), (-0.5, -0.5, 2), (40.0, 40.0, 256)])
+def test_nearest_indices_equal_the_argmin(gamma, alpha, n):
+    space = make_jacobi_space(gamma, alpha, n)
+    x = space.points
+    midpoints = x[:-1] + (x[1:] - x[:-1]) / 2.0  # exact ties where the rounding allows
+    coords = np.concatenate(
+        [[-1.0, 1.0, 0.0], x, midpoints, np.nextafter(midpoints, -2.0), np.nextafter(midpoints, 2.0),
+         np.cos(np.random.default_rng(n).uniform(0.0, math.pi, size=200))]
+    )
+    expected = [int(np.argmin(np.abs(x - c))) for c in coords]
+    assert _nearest_indices(space, coords).tolist() == expected
+    ties = np.abs(x[:-1] - midpoints) == np.abs(x[1:] - midpoints)
+    assert _nearest_indices(space, midpoints[ties]).tolist() == np.flatnonzero(ties).tolist()
 
 
 def test_gaussian_fit_rejects_visible_truncation(legendre_space):

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from heatframe import (
-    METRIC_TABLE,
-    ContractError,
     DomainError,
     ExactnessError,
     JacobiParams,
@@ -58,11 +56,10 @@ def test_basis_rejects_bad_configurations(legendre_space):
     params = JacobiParams(0.0, 0.0)
     with pytest.raises(ExactnessError):
         build_basis(legendre_space, params, 64)
-    table = np.array([[0.0, 1.0], [1.0, 0.0]])
-    other = MetricMeasureSpace(
-        np.array([0.0, 1.0]), np.ones(2), METRIC_TABLE, table
-    )
-    with pytest.raises(ContractError):
+    # unit masses at -1, 1/2 and 1 are no Gauss rule of the flat weight:
+    # they give P_0 and P_1 the inner product sqrt(3)/4
+    other = MetricMeasureSpace(np.array([-1.0, 0.5, 1.0]), np.ones(3))
+    with pytest.raises(ExactnessError, match="Gram defect"):
         build_basis(other, params, 1)
     with pytest.raises(DomainError):
         JacobiParams(-1.0, 0.0)

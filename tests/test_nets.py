@@ -1,11 +1,17 @@
 """Net construction invariants, partition sandwich, serialization, sums."""
 
+import contextlib
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_metric import distance_table, greedy_net_centers
 from heatframe import (
+    ContractError,
     DomainError,
     Net,
     ball_volume,
@@ -17,21 +23,23 @@ from heatframe import (
     save_net,
     verify_net_sums,
 )
+from heatframe import cli
 
 SPACE = make_jacobi_space(0.0, 0.0, 64)
+TABLE = distance_table(SPACE)
 
 
-def _net_distances(space, net):
-    return space.distance_matrix[np.ix_(net.centers, net.centers)]
+def _net_distances(net):
+    return TABLE[np.ix_(net.centers, net.centers)]
 
 
 def test_separation_and_covering():
     delta = 0.1
     net = build_maximal_net(SPACE, delta)
-    dists = _net_distances(SPACE, net)
+    dists = _net_distances(net)
     off_diag = dists + np.eye(net.size) * (2 * delta)
     assert off_diag.min() >= delta
-    to_centers = SPACE.distance_matrix[:, net.centers]
+    to_centers = TABLE[:, net.centers]
     assert to_centers.min(axis=1).max() <= delta
 
 
@@ -42,10 +50,10 @@ def test_partition_is_total_and_sandwiched():
     assert assign is not None and assign.shape == (SPACE.n,)
     assert np.all(assign >= 0) and np.all(assign < net.size)
     # Outer inclusion: every point sits within delta of its own center.
-    own = SPACE.distance_matrix[np.arange(SPACE.n), net.centers[assign]]
+    own = TABLE[np.arange(SPACE.n), net.centers[assign]]
     assert own.max() < delta
     # Inner inclusion: a point strictly inside some half ball belongs to it.
-    to_centers = SPACE.distance_matrix[:, net.centers]
+    to_centers = TABLE[:, net.centers]
     for j in range(net.size):
         inside = to_centers[:, j] < delta / 2.0
         assert np.all(assign[inside] == j)
@@ -63,15 +71,49 @@ def test_cell_masses_partition_total_mass():
 @given(delta=st.floats(0.05, 1.0))
 def test_net_invariants_for_any_scale(delta):
     net = build_partition(SPACE, build_maximal_net(SPACE, delta))
-    dists = _net_distances(SPACE, net)
+    dists = _net_distances(net)
     if net.size > 1:
         off = dists[~np.eye(net.size, dtype=bool)]
         assert off.min() >= delta
-    to_centers = SPACE.distance_matrix[:, net.centers]
+    to_centers = TABLE[:, net.centers]
     assert to_centers.min(axis=1).max() <= delta
     assert float(cell_masses(SPACE, net).sum()) == pytest.approx(
         SPACE.total_mass, abs=1e-12
     )
+
+
+WEIGHTS = [(0.0, 0.0), (3.0, -0.5), (-0.5, -0.5), (1.5, -0.5), (5.0, 20.0), (40.0, 40.0), (-0.9, 8.0), (0.001, -0.002)]
+
+
+@pytest.mark.parametrize("gamma, alpha", WEIGHTS)
+def test_sweep_equals_the_greedy_over_every_center(gamma, alpha):
+    for n in (2, 3, 17, 256, 2048):
+        space = make_jacobi_space(gamma, alpha, n)
+        gaps = np.abs(np.diff(np.arccos(space.points)))
+        # a scale equal to one node gap puts a point exactly at distance delta
+        for delta in (0.01, 0.05, 0.1, 0.3, 1.0, float(gaps[n // 2 - 1])):
+            net = build_maximal_net(space, delta)
+            assert net.centers.tolist() == greedy_net_centers(space, delta).tolist(), (n, delta)
+
+
+def test_partition_rejects_a_net_that_is_not_separated_or_not_maximal():
+    with pytest.raises(ContractError, match="separated"):
+        build_partition(SPACE, Net(delta=0.1, centers=np.array([0, 1])))
+    with pytest.raises(ContractError, match="maximal"):
+        build_partition(SPACE, Net(delta=0.1, centers=np.array([0])))
+
+
+def test_net_command_peaks_below_one_dense_table(tmp_path):
+    # one 2048 x 2048 float64 table is 33.5 MB
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["net", "--nodes", "2048", "--delta", "0.05", "--out", str(tmp_path / "net.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2048 * 2048 * 8
 
 
 def test_duplicate_centers_rejected():

@@ -68,7 +68,9 @@ def test_refinement_calls_are_sized_by_their_basis(legendre_basis):
 def test_traced_run_calls_every_wrapped_layer(tmp_path):
     """One small run of each subcommand, traced as the benchmark traces it,
     reaches every wrapped function and reports every per-layer name, so no
-    layer metric reads 0 or goes missing."""
+    layer metric goes missing and none but ``geometry.dense_bytes`` reads 0.
+    That one counts cached N x N distance tables, and the program builds
+    none."""
     from heatframe import cli
 
     tracer = _load_tracer().Tracer()
@@ -92,4 +94,5 @@ def test_traced_run_calls_every_wrapped_layer(tmp_path):
     metrics = tracer.metrics()
     names = {layer["name"] for layer in json.loads(BENCHMARK.read_text())["per_layer"]}
     assert names - {"trace.overhead"} <= set(metrics)  # run.py adds the overhead ratio
-    assert [name for name in names - {"trace.overhead"} if metrics[name] <= 0] == []
+    assert metrics["geometry.dense_bytes"] == 0
+    assert [name for name in names - {"trace.overhead", "geometry.dense_bytes"} if metrics[name] <= 0] == []
