@@ -5,8 +5,6 @@ from __future__ import annotations
 
 from .envelope import (
     EnvelopeParams,
-    EstimateConstants,
-    constants_for,
     envelope,
     verify_envelope_lp,
     verify_envelope_scaling,
@@ -34,7 +32,6 @@ from .geometry import (
 )
 from .heat import (
     FactoredKernel,
-    HeatKernelEval,
     factored_kernel,
     fit_gaussian_bounds,
     heat_kernel,
@@ -66,8 +63,6 @@ from .nets import (
     build_partition,
     cell_masses,
     load_net,
-    net_from_json,
-    net_to_json,
     save_net,
     verify_net_sums,
 )

@@ -25,6 +25,8 @@ class JacobiParams:
     alpha: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.gamma) and math.isfinite(self.alpha)):
+            raise DomainError("weight exponents must be finite")
         if self.gamma <= -1.0 or self.alpha <= -1.0:
             raise DomainError("weight exponents must exceed -1")
 
@@ -37,7 +39,7 @@ def recurrence_coefficients(gamma: float, alpha: float, n: int) -> tuple[np.ndar
     The k = 0 and k = 1 entries use algebraically canceled expressions so
     the formulas stay finite when gamma + alpha + 1 = 0.
     """
-    JacobiParams(gamma, alpha)  # raises DomainError unless both exceed -1
+    JacobiParams(gamma, alpha)  # raises DomainError unless both are finite and exceed -1
     if n < 0:
         raise DomainError("degree must be nonnegative")
     s = gamma + alpha

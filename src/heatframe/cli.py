@@ -67,14 +67,16 @@ class RunConfig:
             raise DomainError("need at least two nodes")
         if not (0 <= self.degree <= self.n_nodes - 1):
             raise DomainError("degree must lie in [0, n_nodes - 1]")
-        if self.t <= 0.0:
-            raise DomainError("t must be positive")
+        if not (0.0 < self.t < math.inf):
+            raise DomainError("t must be finite and positive")
         if not (0.0 < self.delta <= 1.0):
             raise DomainError("delta must lie in (0, 1]")
-        if self.sigma_exp is not None and self.sigma_exp <= 0.0:
-            raise DomainError("sigma must be positive")
+        if self.sigma_exp is not None and not (0.0 < self.sigma_exp < math.inf):
+            raise DomainError("sigma must be finite and positive")
         if self.k_override is not None and self.k_override < 1:
             raise DomainError("k override must be a positive integer")
+        if self.seed < 0:
+            raise DomainError("seed must be nonnegative")
         if self.command == "verify":
             self._check_spectral_tail(params)
 
@@ -169,11 +171,12 @@ def run_verify(config: RunConfig) -> int:
     reports.extend(verify_lemma_integrals(space, params, pairs))
 
     # net, partition, and the center sums
-    net = nets.build_partition(space, nets.build_maximal_net(space, config.delta))
+    net = nets.build_maximal_net(space, config.delta)
+    star = EnvelopeParams(delta=2.0 * config.delta, sigma_exp=sigma_exp, k=k)
     sum_s = rng.integers(0, space.n, size=50)
     sum_s2 = rng.integers(0, space.n, size=50)
     for s, s2 in zip(sum_s, sum_s2):
-        reports.extend(nets.verify_net_sums(space, net, s, 2.0 * config.delta, sigma_exp, k, s2))
+        reports.extend(nets.verify_net_sums(space, net, s, star, s2))
 
     # semigroup identities
     reports.append(heat.verify_markov(basis, config.t))
@@ -214,7 +217,7 @@ def run_verify(config: RunConfig) -> int:
 
     # mapping bounds for the heat kernel at the matched scale t = delta^2
     kernel_op = operators.dominated_operator(
-        space, heat.heat_kernel(basis, config.delta ** 2).table, params
+        space, heat.heat_kernel(basis, config.delta ** 2), params
     )
     trials = jacobi.random_polynomials(basis, 20, min(16, basis.degree), rng)
     for p, q in YOUNG_EXPONENTS:
@@ -249,8 +252,8 @@ def run_verify(config: RunConfig) -> int:
     f_band = jacobi.random_polynomials(basis, 1, basis.degree, rng)[0]
     decomp, band_reports = operators.verify_band_decomposition(basis, net, f_band)
     reports.extend(band_reports)
-    fine_net = nets.build_partition(space, nets.build_maximal_net(space, config.delta / 2.0))
-    decomp_fine, _ = operators.verify_band_decomposition(basis, fine_net, f_band)
+    fine_net = nets.build_maximal_net(space, config.delta / 2.0)
+    decomp_fine = operators.band_decompose(basis, fine_net, f_band)
     reports.append(
         compare_stability(
             "frame.stability",
@@ -297,9 +300,9 @@ def run_verify(config: RunConfig) -> int:
 def run_kernel(config: RunConfig) -> int:
     config.validate()
     basis = _build(config)
-    kernel = heat.heat_kernel(basis, config.t)
+    table = heat.heat_kernel(basis, config.t)
     out = config.out or "kernel.csv"
-    heat.kernel_to_csv(kernel, out)
+    heat.kernel_to_csv(table, out)
     print(f"wrote {out}")
     return 0
 
@@ -307,7 +310,7 @@ def run_kernel(config: RunConfig) -> int:
 def run_net(config: RunConfig) -> int:
     config.validate()
     space = geometry.make_jacobi_space(config.gamma, config.alpha, config.n_nodes)
-    net = nets.build_partition(space, nets.build_maximal_net(space, config.delta))
+    net = nets.build_maximal_net(space, config.delta)
     out = config.out or "net.json"
     nets.save_net(net, out)
     print(f"wrote {out} ({net.size} centers)")
@@ -317,7 +320,7 @@ def run_net(config: RunConfig) -> int:
 def run_decompose(config: RunConfig) -> int:
     config.validate()
     basis = _build(config)
-    net = nets.build_partition(basis.space, nets.build_maximal_net(basis.space, config.delta))
+    net = nets.build_maximal_net(basis.space, config.delta)
     if config.basis_index is not None:
         if not (0 <= config.basis_index <= basis.degree):
             raise DomainError("basis index must lie within the basis degree")

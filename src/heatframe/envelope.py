@@ -27,14 +27,14 @@ from typing import Sequence
 import numpy as np
 
 from ._parallel import ordered_map
-from .errors import DomainError, SamplingError
+from .errors import DomainError, PreconditionError, SamplingError
 from .geometry import MetricMeasureSpace, ball_volumes_at_nodes, lp_norm
 from .reporting import VerificationReport, make_report
 
 
 @dataclass(frozen=True)
 class EnvelopeParams:
-    """Scale, decay exponent, and the integer doubling exponent in force."""
+    """Scale, decay exponent, the integer doubling exponent, and their constants."""
 
     delta: float
     sigma_exp: float
@@ -49,14 +49,6 @@ class EnvelopeParams:
             raise DomainError("k must be a positive integer")
         object.__setattr__(self, "k", int(self.k))
 
-
-@dataclass(frozen=True)
-class EstimateConstants:
-    """Closed-form constants attached to a (k, sigma_exp) pair."""
-
-    k: int
-    sigma_exp: float
-
     @property
     def a1(self) -> float:
         """Decay-integral constant; needs sigma_exp > k."""
@@ -69,7 +61,7 @@ class EstimateConstants:
         """Self-reproduction constant; needs sigma_exp > 2k."""
         if self.sigma_exp <= 2 * self.k:
             raise DomainError("a2 needs sigma_exp > 2k")
-        return 2.0 ** (self.sigma_exp + self.k + 1) / (
+        return constant_power(2.0, self.sigma_exp + self.k + 1, "a2") / (
             2.0 ** (-self.k) - 2.0 ** (self.k - self.sigma_exp)
         )
 
@@ -88,13 +80,20 @@ class EstimateConstants:
         if self.sigma_exp <= self.k * (0.5 + 1.0 / p):
             raise DomainError("a_p needs sigma_exp > k (1/2 + 1/p)")
         return (
-            2.0 ** (self.k * p / 2.0)
+            constant_power(2.0, self.k * p / 2.0, "a_p")
             / (2.0 ** (-self.k) - 2.0 ** (-(self.sigma_exp - self.k / 2.0) * p))
         ) ** (1.0 / p)
 
 
-def constants_for(params: EnvelopeParams) -> EstimateConstants:
-    return EstimateConstants(k=params.k, sigma_exp=params.sigma_exp)
+def constant_power(base: float, exponent: float, name: str) -> float:
+    """base ** exponent in the printed constant ``name``; past the float
+    range the bound it scales is vacuous, a PreconditionError."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        raise PreconditionError(
+            f"constant {name} overflows ({base:g}^{exponent:g} is past the float range); the bound is vacuous"
+        ) from None
 
 
 def envelope(space: MetricMeasureSpace, params: EnvelopeParams, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -113,7 +112,7 @@ def verify_envelope_lp(
     """Check ||E(x_i, .)||_p <= a_p(p) sigma(B(x_i, delta))^(1/p - 1) on sampled nodes."""
     if len(sample_nodes) == 0:
         raise SamplingError("need at least one sample point")
-    const = constants_for(params).a_p(p)
+    const = params.a_p(p)
     inv_p = 0.0 if math.isinf(p) else 1.0 / p
     vols = ball_volumes_at_nodes(space, params.delta)
     nodes = np.arange(space.n)
@@ -165,12 +164,13 @@ def verify_envelope_scaling(
     moved = envelope(space, scaled, i1, i2)
     d = space.node_distances(i1, i2)
     vol1 = ball_volumes_at_nodes(space, params.delta)[i1]
-    one_vol_rhs = 2.0 ** (k / 2.0) / vol1 * (1.0 + d / params.delta) ** (params.sigma_exp - k / 2.0)
+    one_vol_const = constant_power(2.0, k / 2.0, "2^(k/2)")
+    one_vol_rhs = one_vol_const / vol1 * (1.0 + d / params.delta) ** (params.sigma_exp - k / 2.0)
     if beta < 1.0:
-        const = (2.0 / beta) ** k
+        const = constant_power(2.0 / beta, k, "(2/beta)^k")
         check_id = "envelope.shrink"
     else:
-        const = beta ** params.sigma_exp
+        const = constant_power(beta, params.sigma_exp, "beta^sigma_exp")
         check_id = "envelope.grow"
     x = space.points
     reports = []
@@ -182,7 +182,7 @@ def verify_envelope_scaling(
                 "envelope.one_volume",
                 base[m],
                 one_vol_rhs[m],
-                paper_constant=2.0 ** (k / 2.0),
+                paper_constant=one_vol_const,
                 context=context,
             )
         )
@@ -219,7 +219,6 @@ def verify_lemma_integrals(
     delta = params.delta
     s_exp = params.sigma_exp
     k = params.k
-    consts = constants_for(params)
     with_a1 = s_exp > k
     with_a2 = s_exp > 2 * k
     w = space.weights
@@ -237,7 +236,7 @@ def verify_lemma_integrals(
         far = (1.0 + d12 / delta) ** -s_exp
         context = {"s1": space.points[s1], "s2": space.points[s2], "delta": delta, "sigma_exp": s_exp, "k": k}
         if with_a1:
-            a1 = consts.a1
+            a1 = params.a1
             out.append(
                 make_report(
                     "lemma.decay_integral",
@@ -277,7 +276,7 @@ def verify_lemma_integrals(
                 )
             )
         if with_a2:
-            a2 = consts.a2
+            a2 = params.a2
             weighted = float(w @ (decay1 * decay2 / vols))
             out.append(
                 make_report(

@@ -43,15 +43,9 @@ from .reporting import VerificationReport, make_report
 import warnings
 
 TAIL_TOL = 1e-12  # largest admissible spectral tail exp(-beta_N t)
-
-
-@dataclass(frozen=True)
-class HeatKernelEval:
-    """Symmetric nodal table of h_t plus the truncation audit trail."""
-
-    t: float
-    table: np.ndarray
-    tail_bound: float
+MARKOV_TOL = 1e-8  # largest row-integral defect |int h_t(x, y) dy - 1|
+SEMIGROUP_TOL = 1e-7  # largest composition defect, relative to max h_{t+s}
+EIGEN_ACTION_TOL = 1e-9  # largest |R_t P_i - exp(-beta_i t) P_i| at a node
 
 
 def _decay(basis: SpectralBasis, t: float) -> np.ndarray:
@@ -70,15 +64,10 @@ def _decay(basis: SpectralBasis, t: float) -> np.ndarray:
     return decay
 
 
-def heat_kernel(basis: SpectralBasis, t: float) -> HeatKernelEval:
-    """Evaluate h_t on all node pairs; warn if the spectral tail is not
-    negligible at this t."""
-    decay = _decay(basis, t)
-    return HeatKernelEval(
-        t=float(t),
-        table=multiplier_table(basis.rows(), decay),
-        tail_bound=float(decay[-1]),
-    )
+def heat_kernel(basis: SpectralBasis, t: float) -> np.ndarray:
+    """The symmetric table of h_t on all node pairs; warn if the spectral
+    tail is not negligible at this t."""
+    return multiplier_table(basis.rows(), _decay(basis, t))
 
 
 @dataclass(frozen=True)
@@ -121,7 +110,7 @@ def factored_kernel(basis: SpectralBasis, t: float) -> FactoredKernel:
     return FactoredKernel(rows=basis.rows(keep), decay=decay[:keep])
 
 
-def verify_markov(basis: SpectralBasis, t: float, tol: float = 1e-8) -> VerificationReport:
+def verify_markov(basis: SpectralBasis, t: float) -> VerificationReport:
     """Unit mass in each slot: the row integrals of h_t, V^T D (V w), must
     all equal 1."""
     space = basis.space
@@ -131,7 +120,7 @@ def verify_markov(basis: SpectralBasis, t: float, tol: float = 1e-8) -> Verifica
     return make_report(
         "markov",
         defect,
-        tol,
+        MARKOV_TOL,
         paper_constant=1.0,
         context={"t": float(t), "n_nodes": space.n, "degree": basis.degree},
     )
@@ -142,7 +131,6 @@ def verify_semigroup(
     basis: SpectralBasis,
     t: float,
     s: float,
-    tol: float = 1e-7,
 ) -> VerificationReport:
     """Composition law: integrating h_t against h_s reproduces h_{t+s}.
 
@@ -165,7 +153,7 @@ def verify_semigroup(
     return make_report(
         "semigroup",
         defect,
-        tol,
+        SEMIGROUP_TOL,
         context={"t": t, "s": s, "n_nodes": space.n},
     )
 
@@ -174,7 +162,6 @@ def verify_eigen_action(
     basis: SpectralBasis,
     t: float,
     max_index: int,
-    tol: float = 1e-9,
 ) -> VerificationReport:
     """R_t P_i = exp(-beta_i t) P_i for each basis row up to max_index.
 
@@ -191,7 +178,7 @@ def verify_eigen_action(
     return make_report(
         "eigen_action",
         float(defects[worst_i]),
-        tol,
+        EIGEN_ACTION_TOL,
         context={"t": t, "max_index": max_index, "worst_index": worst_i},
     )
 
@@ -301,8 +288,7 @@ def verify_holder(
     basis: SpectralBasis,
     t_grid: Sequence[float],
     triples: Sequence[tuple[float, float, float]],
-    *,
-    decay_rate: float | None = None,
+    decay_rate: float,
 ) -> VerificationReport:
     """Fit the space Hoelder exponent of h_t against the Gaussian envelope.
 
@@ -312,7 +298,7 @@ def verify_holder(
 
     is regressed on x = d(s2, s2')/sqrt(t) in log-log coordinates; the slope
     is the fitted exponent and must come out positive and finite.  The decay
-    rate a defaults to the upper Gaussian rate fitted on the same samples.
+    rate a is the upper Gaussian rate (``fit_gaussian_bounds``).
 
     Increments whose magnitude falls below 1e-13 of the kernel's largest
     value (the top of its diagonal) are pure spectral-sum roundoff; they are
@@ -324,11 +310,6 @@ def verify_holder(
         raise SamplingError("need at least one time and one triple")
     if min(t_grid) <= 0.0:
         raise DomainError("times must be positive")
-    if decay_rate is None:
-        base_pairs = [(s1, s2) for s1, s2, _ in triples]
-        decay_rate = float(
-            fit_gaussian_bounds(basis, t_grid, base_pairs).context["a"]
-        )
     space = basis.space
     idx1 = _nearest_indices(space, [tr[0] for tr in triples])
     idx2 = _nearest_indices(space, [tr[1] for tr in triples])
@@ -386,12 +367,12 @@ def verify_holder(
     )
 
 
-def kernel_to_csv(kernel: HeatKernelEval, path: str) -> None:
+def kernel_to_csv(table: np.ndarray, path: str) -> None:
     """Write the kernel table as rows (x_index, y_index, value)."""
-    n = kernel.table.shape[0]
+    n = table.shape[0]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x_index", "y_index", "value"])
         for i in range(n):
             for j in range(n):
-                writer.writerow([str(i), str(j), repr(float(kernel.table[i, j]))])
+                writer.writerow([str(i), str(j), repr(float(table[i, j]))])

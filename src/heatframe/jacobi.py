@@ -43,6 +43,8 @@ from .reporting import VerificationReport, make_report
 
 _ORTHO_TOL = 1e-10
 _COEFF_CUTOFF = 1e-12
+_RESID_TOL = 1e-8  # analysis residual, relative to max(1, |f|), past which apply_L warns
+POINCARE_FUNCTIONS = 20  # random polynomials per ball in the Poincare fit
 _BLOCK_BYTES = 8 * 2**20  # one node block of the recurrence: every row at its nodes
 _PANEL_ROWS = 256  # Gram rows one block's product updates at a time
 
@@ -68,21 +70,24 @@ class SpectralBasis:
     synthesis is an exact projection at the stored degree.
 
     A basis may store only its leading rows (``build_basis(...,
-    stored_rows=K)``) while keeping its degree and every eigenvalue.  Read
+    stored_rows=K)``) while keeping every eigenvalue; ``degree`` is read off
+    the eigenvalues, so it stays that of the full basis.  Read
     the tables through ``rows`` and ``deriv_rows``, which raise ContractError
     for a row that is not stored rather than return fewer rows.
     """
 
     space: MetricMeasureSpace
-    params: JacobiParams
-    degree: int
     values: np.ndarray
     deriv_values: np.ndarray
     eigenvalues: np.ndarray
 
     @property
+    def degree(self) -> int:
+        return self.size - 1
+
+    @property
     def size(self) -> int:
-        return self.degree + 1
+        return int(self.eigenvalues.size)
 
     def rows(self, count: int | None = None) -> np.ndarray:
         """P_0..P_{count-1} at the nodes (every row by default)."""
@@ -159,8 +164,6 @@ def build_basis(
         raise ExactnessError(f"discrete Gram defect {defect:.2e}; space does not match the weight")
     return SpectralBasis(
         space=space,
-        params=params,
-        degree=degree,
         values=values,
         deriv_values=derivs,
         eigenvalues=eigenvalues(params, degree),
@@ -200,18 +203,18 @@ def effective_degree(coeffs: np.ndarray) -> int:
     return int(significant[-1]) if significant.size else 0
 
 
-def apply_L(basis: SpectralBasis, f: np.ndarray, *, resid_tol: float = 1e-8) -> np.ndarray:
+def apply_L(basis: SpectralBasis, f: np.ndarray) -> np.ndarray:
     """Apply the operator through the eigenexpansion.
 
     Content of f above the basis degree cannot be represented; if the
-    analysis residual exceeds resid_tol relative to f a truncation warning
+    analysis residual exceeds _RESID_TOL relative to f a truncation warning
     is raised and the truncated result is returned.
     """
     f = np.asarray(f, dtype=float)
     c = coefficients(basis, f)
     resid = float(np.abs(f - synthesize(basis, c)).max())
     scale = max(1.0, float(np.abs(f).max()))
-    if resid > resid_tol * scale:
+    if resid > _RESID_TOL * scale:
         warnings.warn(
             f"analysis residual {resid:.2e} above the basis degree; result is truncated",
             TruncationWarning,
@@ -261,34 +264,30 @@ def carre_du_champ_gradient(basis: SpectralBasis, f: np.ndarray, g: np.ndarray) 
 
 
 def _random_coefficients(
-    basis: SpectralBasis, n_functions: int, max_degree: int, rng: np.random.Generator, normalize: bool
+    basis: SpectralBasis, count: int, max_degree: int, rng: np.random.Generator
 ) -> np.ndarray:
-    if n_functions < 1:
+    if count < 1:
         raise DomainError("need at least one function")
     if max_degree < 0 or max_degree > basis.degree:
         raise DomainError("max_degree must lie within the basis degree")
-    coeffs = rng.standard_normal((n_functions, max_degree + 1))
-    if normalize:
-        norms = np.linalg.norm(coeffs, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        coeffs = coeffs / norms
-    return coeffs
+    coeffs = rng.standard_normal((count, max_degree + 1))
+    norms = np.linalg.norm(coeffs, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    return coeffs / norms
 
 
 def random_polynomials(
     basis: SpectralBasis,
-    n_functions: int,
+    count: int,
     max_degree: int,
     rng: np.random.Generator,
-    *,
-    normalize: bool = True,
 ) -> np.ndarray:
     """Rows of random polynomials with i.i.d. normal spectral coefficients.
 
-    With normalize=True each row has exact unit discrete L2 norm, which
-    keeps absolute tolerances meaningful across draws.
+    Each row has exact unit discrete L2 norm, which keeps absolute
+    tolerances meaningful across draws.
     """
-    return _random_coefficients(basis, n_functions, max_degree, rng, normalize) @ basis.rows(max_degree + 1)
+    return _random_coefficients(basis, count, max_degree, rng) @ basis.rows(max_degree + 1)
 
 
 def verify_poincare(
@@ -296,11 +295,11 @@ def verify_poincare(
     balls: Sequence[tuple[float, float]],
     rng: np.random.Generator,
     *,
-    n_functions: int = 20,
     max_degree: int = 10,
     K_candidate: float | None = None,
 ) -> list[VerificationReport]:
-    """Fit the smallest K with  int_B |f - f_B|^2 <= K r^2 int_B dGamma(f, f).
+    """Fit the smallest K with  int_B |f - f_B|^2 <= K r^2 int_B dGamma(f, f)
+    over POINCARE_FUNCTIONS random polynomials of degree max_degree.
 
     Gamma here is the squared-gradient density (1 - x^2) f'^2, with f'
     summed from the drawn coefficients over the derivative tables, so the
@@ -315,7 +314,7 @@ def verify_poincare(
         if not (0.0 < r <= 1.0):
             raise DomainError("ball radii must lie in (0, 1]")
     space = basis.space
-    coeffs = _random_coefficients(basis, n_functions, max_degree, rng, True)
+    coeffs = _random_coefficients(basis, POINCARE_FUNCTIONS, max_degree, rng)
     fs = coeffs @ basis.rows(max_degree + 1)
     fps = coeffs @ basis.deriv_rows(max_degree + 1)
     w = space.weights
@@ -341,7 +340,7 @@ def verify_poincare(
                 K_fit = float("inf")
             else:
                 K_fit = max(K_fit, lhs / (r * r * energy))
-    context = {"K_fit": K_fit, "n_balls": len(balls), "n_functions": n_functions, "n_pairs": n_pairs}
+    context = {"K_fit": K_fit, "n_balls": len(balls), "n_functions": POINCARE_FUNCTIONS, "n_pairs": n_pairs}
     reports = [
         make_report(
             "poincare.fit",

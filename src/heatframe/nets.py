@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envelope import EnvelopeParams, envelope
+from .envelope import EnvelopeParams, constant_power, envelope
 from .errors import ContractError, DomainError
 from .geometry import MetricMeasureSpace, ball_volumes_at_nodes
 from .reporting import VerificationReport, make_report
@@ -30,24 +30,25 @@ _SEP_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Net:
-    """Net centers (node indices) and, once built, the cell assignment."""
+    """Net centers (node indices) and, per point, the position of its cell's center."""
 
     delta: float
     centers: np.ndarray
-    assignment: np.ndarray | None = None
+    assignment: np.ndarray
 
     def __post_init__(self) -> None:
         centers = np.asarray(self.centers, dtype=int)
+        assignment = np.asarray(self.assignment, dtype=int)
         object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "assignment", assignment)
         if self.delta <= 0.0:
             raise DomainError("delta must be positive")
         if centers.ndim != 1 or centers.size == 0:
             raise DomainError("need at least one center")
         if len(set(centers.tolist())) != centers.size:
             raise DomainError("centers must be distinct")
-        if self.assignment is not None:
-            assignment = np.asarray(self.assignment, dtype=int)
-            object.__setattr__(self, "assignment", assignment)
+        if assignment.ndim != 1 or assignment.min(initial=0) < 0 or assignment.max(initial=0) >= centers.size:
+            raise DomainError("assignment must index the centers")
 
     @property
     def size(self) -> int:
@@ -58,6 +59,7 @@ def build_maximal_net(space: MetricMeasureSpace, delta: float) -> Net:
     """Greedy sweep in stored point order; admits a point iff it is at least
     delta from every admitted center.  The result is delta-separated and
     maximal, hence covers the space within radius strictly below delta.
+    It comes with its partition (``build_partition``).
 
     theta is monotone along the stored order, so the last admitted center
     is the nearest one, and rounding keeps it so: one comparison per point.
@@ -69,27 +71,26 @@ def build_maximal_net(space: MetricMeasureSpace, delta: float) -> Net:
     for idx in range(1, space.n):
         if abs(theta[idx] - theta[centers[-1]]) >= delta:
             centers.append(idx)
-    return Net(delta=delta, centers=np.array(centers, dtype=int))
+    return build_partition(space, delta, np.array(centers, dtype=int))
 
 
-def _check_net(space: MetricMeasureSpace, net: Net) -> np.ndarray:
+def _check_net(space: MetricMeasureSpace, delta: float, centers: np.ndarray) -> np.ndarray:
     """Validate separation and covering; return the point-to-center distances."""
-    centers = net.centers
     if centers.min(initial=0) < 0 or centers.max(initial=0) >= space.n:
         raise ContractError("net centers must index points of the space")
     D = space.node_distances(np.arange(space.n)[:, None], centers)
     center_gaps = D[centers]
     m = centers.size
-    off = center_gaps + np.eye(m) * (net.delta + 1.0)
-    if off.min() < net.delta - _SEP_TOL:
+    off = center_gaps + np.eye(m) * (delta + 1.0)
+    if off.min() < delta - _SEP_TOL:
         raise ContractError("centers are not delta-separated")
-    if D.min(axis=1).max() >= net.delta:
+    if D.min(axis=1).max() >= delta:
         raise ContractError("net is not maximal: a point is uncovered at radius delta")
     return D
 
 
-def build_partition(space: MetricMeasureSpace, net: Net) -> Net:
-    """Assign every point to one center by the inductive carving rule.
+def build_partition(space: MetricMeasureSpace, delta: float, centers: np.ndarray) -> Net:
+    """Assign every point to one of the centers by the inductive carving rule.
 
     Sweeping centers in order, cell j collects the still-unassigned points
     of B(center_j, delta) that lie in no other center's delta/2 ball.  Under
@@ -97,30 +98,28 @@ def build_partition(space: MetricMeasureSpace, net: Net) -> Net:
     by that center's turn, and a point in no half-ball is taken by the first
     center within delta of it.  The sandwich property follows.
     """
-    D = _check_net(space, net)
-    m = net.size
-    in_half = D < net.delta / 2.0
+    centers = np.asarray(centers, dtype=int)
+    D = _check_net(space, delta, centers)
+    in_half = D < delta / 2.0
     owners = in_half.sum(axis=1)
     if owners.max(initial=0) > 1:
         raise ContractError("half-balls overlap; separation is violated")
     half_owner = np.where(owners == 1, np.argmax(in_half, axis=1), -1)
     assignment = np.full(space.n, -1, dtype=int)
-    for j in range(m):
+    for j in range(centers.size):
         eligible = (
             (assignment == -1)
-            & (D[:, j] < net.delta)
+            & (D[:, j] < delta)
             & ((half_owner == -1) | (half_owner == j))
         )
         assignment[eligible] = j
     if (assignment == -1).any():
         raise ContractError("carving left a point unassigned; net is not maximal")
-    return Net(delta=net.delta, centers=net.centers.copy(), assignment=assignment)
+    return Net(delta=delta, centers=centers, assignment=assignment)
 
 
 def cell_masses(space: MetricMeasureSpace, net: Net) -> np.ndarray:
     """sigma(P_center) for every center, in center order."""
-    if net.assignment is None:
-        raise ContractError("net has no partition; call build_partition first")
     return np.bincount(net.assignment, weights=space.weights, minlength=net.size)
 
 
@@ -128,13 +127,12 @@ def verify_net_sums(
     space: MetricMeasureSpace,
     net: Net,
     s: int,
-    delta_star: float,
-    sigma_exp: float,
-    k: int,
+    params: EnvelopeParams,
     s2: int | None = None,
 ) -> list[VerificationReport]:
     """Check the five center sums against their printed constants.
 
+    ``params`` holds the coarser scale delta_star >= delta, sigma_exp and k.
     The probe points s and s2 are node indices.  With delta the net scale,
     d_i the distance from the probe point to center i, and |P_i| the cell
     masses:
@@ -154,12 +152,9 @@ def verify_net_sums(
     The two product sums are skipped when sigma_exp < 2k+1, their stated
     range.  s2 defaults to s.
     """
-    if net.assignment is None:
-        raise ContractError("net has no partition; call build_partition first")
+    delta_star, sigma_exp, k = params.delta, params.sigma_exp, params.k
     if delta_star < net.delta - _SEP_TOL:
         raise DomainError("delta_star must be at least the net scale")
-    if k < 1:
-        raise DomainError("k must be a positive integer")
     if s2 is None:
         s2 = s
     delta = net.delta
@@ -177,7 +172,7 @@ def verify_net_sums(
         "n_centers": net.size,
     }
     reports = []
-    cell_const = 2.0 ** (2 * k + 2)
+    cell_const = constant_power(2.0, 2 * k + 2, "2^(2k+2)")
     reports.append(
         make_report(
             "net.sum.cell_decay",
@@ -187,7 +182,7 @@ def verify_net_sums(
             context=context,
         )
     )
-    center_const = 2.0 ** (3 * k + 2)
+    center_const = constant_power(2.0, 3 * k + 2, "2^(3k+2)")
     reports.append(
         make_report(
             "net.sum.center_decay",
@@ -208,20 +203,19 @@ def verify_net_sums(
         )
     )
     if sigma_exp >= 2 * k + 1:
-        star = EnvelopeParams(delta=delta_star, sigma_exp=sigma_exp, k=k)
-        prof_s = envelope(space, star, s, net.centers)
-        prof_s2 = envelope(space, star, s2, net.centers)
-        env_const = 2.0 ** (sigma_exp + 3 * k + 3)
+        prof_s = envelope(space, params, s, net.centers)
+        prof_s2 = envelope(space, params, s2, net.centers)
+        env_const = constant_power(2.0, sigma_exp + 3 * k + 3, "2^(sigma_exp+3k+3)")
         reports.append(
             make_report(
                 "net.sum.envelope_product",
                 float(masses @ (prof_s * prof_s2)),
-                env_const * envelope(space, star, s, s2),
+                env_const * envelope(space, params, s, s2),
                 paper_constant=env_const,
                 context=context,
             )
         )
-        decay_const = 2.0 ** (sigma_exp + 2 * k + 3)
+        decay_const = constant_power(2.0, sigma_exp + 2 * k + 3, "2^(sigma_exp+2k+3)")
         reports.append(
             make_report(
                 "net.sum.decay_product",
@@ -234,29 +228,20 @@ def verify_net_sums(
     return reports
 
 
-def net_to_json(net: Net) -> dict:
-    return {
+def save_net(net: Net, path: str) -> None:
+    doc = {
         "delta": float(net.delta),
         "centers": [int(c) for c in net.centers],
-        "assignment": None if net.assignment is None else [int(a) for a in net.assignment],
+        "assignment": [int(a) for a in net.assignment],
     }
-
-
-def net_from_json(doc: dict) -> Net:
-    assignment = doc.get("assignment")
-    return Net(
-        delta=float(doc["delta"]),
-        centers=np.array(doc["centers"], dtype=int),
-        assignment=None if assignment is None else np.array(assignment, dtype=int),
-    )
-
-
-def save_net(net: Net, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(net_to_json(net), fh, sort_keys=True, indent=2)
+        json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
 def load_net(path: str) -> Net:
     with open(path, encoding="utf-8") as fh:
-        return net_from_json(json.load(fh))
+        doc = json.load(fh)
+    if doc.get("assignment") is None:
+        raise DomainError(f"net file {path} has no assignment")
+    return Net(delta=float(doc["delta"]), centers=doc["centers"], assignment=doc["assignment"])

@@ -52,6 +52,8 @@ class KernelOperator:
     domination: DominationCertificate | None = None
 
 
+BAND_TOL = 1e-10  # Parseval and reconstruction defects, relative to max(1, size of f)
+
 # Entries per row block of the domination max: a few 1 MiB temporaries
 # instead of four N x N tables.
 _BLOCK_ENTRIES = 2**17
@@ -266,8 +268,6 @@ def band_decompose(basis: SpectralBasis, net: Net, f: np.ndarray) -> BandDecompo
     (worst two-sided energy distortion over blocks carrying energy).
     """
     space = basis.space
-    if net.assignment is None:
-        raise ContractError("net has no partition; call build_partition first")
     if net.centers.max(initial=0) >= space.n:
         raise ContractError("net centers do not index this space")
     f = np.asarray(f, dtype=float)
@@ -318,7 +318,6 @@ def verify_band_decomposition(
     basis: SpectralBasis,
     net: Net,
     f: np.ndarray,
-    tol: float = 1e-10,
 ) -> tuple[BandDecomposition, list[VerificationReport]]:
     """Parseval and reconstruction checks plus the frame-ratio fit report."""
     space = basis.space
@@ -335,13 +334,13 @@ def verify_band_decomposition(
     parseval = make_report(
         "band.parseval",
         float(abs(decomp.block_energies.sum() - decomp.f_norm_sq)),
-        tol * max(1.0, decomp.f_norm_sq),
+        BAND_TOL * max(1.0, decomp.f_norm_sq),
         context=context,
     )
     recon = make_report(
         "band.reconstruction",
         float(np.abs(decomp.reconstruction - f).max()),
-        tol * max(1.0, float(np.abs(f).max())),
+        BAND_TOL * max(1.0, float(np.abs(f).max())),
         context=context,
     )
     frame = make_report(

@@ -15,12 +15,10 @@ import numpy as np
 from dense_metric import distance_table
 from heatframe import (
     EnvelopeParams,
-    EstimateConstants,
     JacobiParams,
     band_decompose,
     build_basis,
     build_maximal_net,
-    build_partition,
     carre_du_champ,
     carre_du_champ_gradient,
     cell_masses,
@@ -114,7 +112,7 @@ def test_criterion_04_net_invariants(legendre_space):
     details = []
     ok = True
     for delta in (0.05, 0.1, 0.2):
-        net = build_partition(space, build_maximal_net(space, delta))
+        net = build_maximal_net(space, delta)
         table = distance_table(space)
         center_d = table[np.ix_(net.centers, net.centers)]
         off = center_d[~np.eye(net.size, dtype=bool)]
@@ -165,10 +163,10 @@ def test_criterion_05_paper_constant_inequality_suite(legendre_space):
     for p in (1.0, 2.0, 4.0, math.inf):
         reports += verify_envelope_lp(space, params, p, np.linspace(0, space.n - 1, 13).astype(int))
 
-    net = build_partition(space, build_maximal_net(space, delta))
+    net = build_maximal_net(space, delta)
     for _ in range(50):
         s, s2 = rng.integers(0, space.n, size=2)
-        reports += verify_net_sums(space, net, s, 2 * delta, sigma, k, s2=s2)
+        reports += verify_net_sums(space, net, s, EnvelopeParams(2 * delta, sigma, k), s2=s2)
 
     by_id: dict[str, list] = {}
     for r in reports:
@@ -177,8 +175,8 @@ def test_criterion_05_paper_constant_inequality_suite(legendre_space):
     all_passed = all(r.passed for r in reports)
     enough = all(c >= 50 for c in counts.values())
     constants_exact = (
-        EstimateConstants(k=1, sigma_exp=2.0).a1 == 4.0
-        and verify_net_sums(space, net, 34, 2 * delta, 3.0, 1)[1].paper_constant
+        EnvelopeParams(delta=1.0, sigma_exp=2.0, k=1).a1 == 4.0
+        and verify_net_sums(space, net, 34, EnvelopeParams(2 * delta, 3.0, 1))[1].paper_constant
         == 32.0
     )
     elapsed = time.perf_counter() - start
@@ -201,7 +199,7 @@ def test_criterion_06_young_bound(legendre_space, legendre_basis):
     delta = 0.2
     params = EnvelopeParams(delta=delta, sigma_exp=2 * profile.k + 1.0, k=profile.k)
     op = dominated_operator(
-        space, heat_kernel(legendre_basis, delta**2).table, params
+        space, heat_kernel(legendre_basis, delta**2), params
     )
     trials = random_polynomials(legendre_basis, 20, 16, rng)
     failures = 0
@@ -272,8 +270,8 @@ def test_criterion_08_carre_du_champ_cross_check(legendre_basis):
 def test_criterion_09_band_decomposition(legendre_space, legendre_basis):
     space = legendre_space
     rng = np.random.default_rng(99)
-    net = build_partition(space, build_maximal_net(space, 0.2))
-    finer = build_partition(space, build_maximal_net(space, 0.1))
+    net = build_maximal_net(space, 0.2)
+    finer = build_maximal_net(space, 0.1)
     polys = random_polynomials(legendre_basis, 20, legendre_basis.degree, rng)
     ok = True
     worst_parseval = 0.0

@@ -32,6 +32,17 @@ def test_config_validation_rejects_bad_ranges():
         RunConfig(degree=64, n_nodes=64).validate()
     with pytest.raises(DomainError):
         RunConfig(t=-0.5).validate()
+    for bad in (
+        {"t": math.inf},
+        {"t": math.nan},
+        {"sigma_exp": math.nan},
+        {"sigma_exp": math.inf},
+        {"seed": -1},
+        {"gamma": math.nan},
+        {"alpha": math.inf},
+    ):
+        with pytest.raises(DomainError):
+            RunConfig(**bad).validate()
     RunConfig().validate()
 
 
@@ -115,6 +126,38 @@ def test_vacuous_young_constant_exits_two(capsys):
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and "Young constant" in errors[0]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "extra, constant",
+    [(["--sigma", "2000"], "beta^sigma_exp"), (["--k-override", "1000"], "(2/beta)^k"), (["--k-override", "400"], "a2")],
+)
+def test_overflowing_constant_ends_in_one_error_line(extra, constant, capsys):
+    assert main(["verify", "--nodes", "30", "--degree", "29", *extra]) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error: constant {constant} overflows") and "vacuous" in errors[0]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "kernel", "net", "decompose"])
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--seed", "-1"], "seed must be nonnegative"),
+        (["--t", "inf"], "t must be finite and positive"),
+        (["--t", "nan"], "t must be finite and positive"),
+        (["--sigma", "nan"], "sigma must be finite and positive"),
+        (["--gamma", "nan"], "weight exponents must be finite"),
+        (["--alpha", "inf"], "weight exponents must be finite"),
+    ],
+)
+def test_non_finite_value_or_negative_seed_ends_in_one_domain_error(command, extra, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([command, "--nodes", "30", "--degree", "29", *extra, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
 
 
 def test_too_low_verify_degree_fails_before_any_phase(monkeypatch, capsys):

@@ -11,10 +11,8 @@ from dense_metric import distance_table
 from heatframe import (
     DomainError,
     EnvelopeParams,
-    EstimateConstants,
     MetricMeasureSpace,
     ball_volumes_at_nodes,
-    constants_for,
     envelope,
     lp_norm,
     make_jacobi_space,
@@ -29,32 +27,32 @@ NODES = np.arange(SPACE.n)
 
 def test_printed_constants_at_small_exponents():
     # a1 = (2^-k - 2^-sigma)^-1: at k=1, sigma=2 this is exactly 4.
-    assert EstimateConstants(k=1, sigma_exp=2.0).a1 == 4.0
+    assert EnvelopeParams(delta=1.0, sigma_exp=2.0, k=1).a1 == 4.0
     # a2 = 2^(sigma+k+1) / (2^-k - 2^(k-sigma)): at k=1, sigma=3 exactly 128.
-    assert EstimateConstants(k=1, sigma_exp=3.0).a2 == 128.0
+    assert EnvelopeParams(delta=1.0, sigma_exp=3.0, k=1).a2 == 128.0
     # a_p(2) = (2^(kp/2) / (2^-k - 2^-(sigma-k/2)p))^(1/p): k=1, sigma=3
     # gives sqrt(2 / (1/2 - 1/32)) = sqrt(64/15).
-    assert EstimateConstants(k=1, sigma_exp=3.0).a_p(2.0) == pytest.approx(
+    assert EnvelopeParams(delta=1.0, sigma_exp=3.0, k=1).a_p(2.0) == pytest.approx(
         math.sqrt(64.0 / 15.0), rel=1e-15
     )
     # The limit exponent collapses to 2^(k/2).
-    assert EstimateConstants(k=1, sigma_exp=3.0).a_p(math.inf) == pytest.approx(
+    assert EnvelopeParams(delta=1.0, sigma_exp=3.0, k=1).a_p(math.inf) == pytest.approx(
         math.sqrt(2.0), rel=1e-15
     )
 
 
 def test_constants_reject_out_of_range_exponents():
     with pytest.raises(DomainError):
-        EstimateConstants(k=1, sigma_exp=1.0).a1
+        EnvelopeParams(delta=1.0, sigma_exp=1.0, k=1).a1
     with pytest.raises(DomainError):
-        EstimateConstants(k=1, sigma_exp=2.0).a2
+        EnvelopeParams(delta=1.0, sigma_exp=2.0, k=1).a2
     with pytest.raises(DomainError):
-        EstimateConstants(k=1, sigma_exp=1.4).a_p(1.0)
+        EnvelopeParams(delta=1.0, sigma_exp=1.4, k=1).a_p(1.0)
 
 
 def test_a_p_is_nonincreasing_in_p():
     for k, sigma in ((1, 3.0), (2, 5.0)):
-        consts = EstimateConstants(k=k, sigma_exp=sigma)
+        consts = EnvelopeParams(delta=1.0, sigma_exp=sigma, k=k)
         grid = [1.0, 1.5, 2.0, 4.0, 8.0, math.inf]
         vals = [consts.a_p(p) for p in grid]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
@@ -105,7 +103,7 @@ def test_lp_norm_reports_pass():
         reports = verify_envelope_lp(SPACE, params, p, nodes)
         assert len(reports) == 13
         assert all(r.passed for r in reports)
-        assert all(r.paper_constant == constants_for(params).a_p(p) for r in reports)
+        assert all(r.paper_constant == params.a_p(p) for r in reports)
 
 
 def test_lp_norm_definition_matches_direct_sum():

@@ -38,17 +38,14 @@ def test_two_node_kernel_matches_closed_form():
             kernel = heat_kernel(basis, t)
         x = space.points
         expected = 0.5 + 1.5 * np.outer(x, x) * math.exp(-2.0 * t)
-        assert kernel.table == pytest.approx(expected, abs=1e-14)
-        assert kernel.table @ space.weights == pytest.approx(np.ones(2), abs=1e-14)
+        assert kernel == pytest.approx(expected, abs=1e-14)
+        assert kernel @ space.weights == pytest.approx(np.ones(2), abs=1e-14)
 
 
 def test_kernel_is_symmetric_and_nearly_positive(legendre_space, legendre_basis):
     kernel = heat_kernel(legendre_basis, 0.5)
-    assert np.array_equal(kernel.table, kernel.table.T)
-    assert kernel.table.min() >= -1e-9
-    assert kernel.tail_bound == pytest.approx(
-        math.exp(-legendre_basis.eigenvalues[-1] * 0.5)
-    )
+    assert np.array_equal(kernel, kernel.T)
+    assert kernel.min() >= -1e-9
 
 
 def test_kernel_rejects_bad_time(legendre_basis):
@@ -74,7 +71,7 @@ def test_markov_identity(legendre_space, legendre_basis):
 
 def test_constant_function_is_fixed_point(legendre_space, legendre_basis):
     ones = np.ones(legendre_space.n)
-    evolved = (legendre_space.weights * ones) @ heat_kernel(legendre_basis, 0.7).table
+    evolved = (legendre_space.weights * ones) @ heat_kernel(legendre_basis, 0.7)
     assert evolved == pytest.approx(ones, abs=1e-10)
 
 
@@ -118,7 +115,7 @@ def test_factored_kernel_matches_dense_table(gamma, alpha):
     basis = build_basis(space, JacobiParams(gamma, alpha), 40)
     rows, cols = np.meshgrid(np.arange(64), np.arange(64), indexing="ij")
     for t in (0.05, 0.5):
-        table = heat_kernel(basis, t).table
+        table = heat_kernel(basis, t)
         view = factored_kernel(basis, t)
         scale = float(np.abs(table).max())
         entries = view.entries(rows.ravel(), cols.ravel()).reshape(64, 64)
@@ -231,7 +228,8 @@ def test_holder_exponent_is_positive(legendre_basis, rng):
         s1, s2 = rng.uniform(-0.9, 0.9, size=2)
         theta = math.acos(s2) + rng.uniform(0.02, 0.2)
         triples.append((float(s1), float(s2), math.cos(min(theta, math.pi))))
-    report = verify_holder(legendre_basis, (0.1, 0.5), triples)
+    rate = fit_gaussian_bounds(legendre_basis, (0.1, 0.5), [(s1, s2) for s1, s2, _ in triples]).context["a"]
+    report = verify_holder(legendre_basis, (0.1, 0.5), triples, rate)
     assert report.passed
     assert report.context["gamma_H"] > 0.0
     assert math.isfinite(report.context["K_H"])
@@ -253,4 +251,4 @@ def test_kernel_csv_round_trip(tmp_path, legendre_basis):
     assert len(rows) == 1 + 64 * 64
     i, j, value = rows[1 + 5 * 64 + 7]
     assert (int(i), int(j)) == (5, 7)
-    assert float(value) == kernel.table[5, 7]
+    assert float(value) == kernel[5, 7]

@@ -13,6 +13,7 @@ from dense_metric import distance_table, greedy_net_centers
 from heatframe import (
     ContractError,
     DomainError,
+    EnvelopeParams,
     Net,
     ball_volume,
     build_maximal_net,
@@ -45,7 +46,7 @@ def test_separation_and_covering():
 
 def test_partition_is_total_and_sandwiched():
     delta = 0.1
-    net = build_partition(SPACE, build_maximal_net(SPACE, delta))
+    net = build_maximal_net(SPACE, delta)
     assign = net.assignment
     assert assign is not None and assign.shape == (SPACE.n,)
     assert np.all(assign >= 0) and np.all(assign < net.size)
@@ -60,7 +61,7 @@ def test_partition_is_total_and_sandwiched():
 
 
 def test_cell_masses_partition_total_mass():
-    net = build_partition(SPACE, build_maximal_net(SPACE, 0.2))
+    net = build_maximal_net(SPACE, 0.2)
     masses = cell_masses(SPACE, net)
     assert masses.shape == (net.size,)
     assert np.all(masses > 0.0)
@@ -70,7 +71,7 @@ def test_cell_masses_partition_total_mass():
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(delta=st.floats(0.05, 1.0))
 def test_net_invariants_for_any_scale(delta):
-    net = build_partition(SPACE, build_maximal_net(SPACE, delta))
+    net = build_maximal_net(SPACE, delta)
     dists = _net_distances(net)
     if net.size > 1:
         off = dists[~np.eye(net.size, dtype=bool)]
@@ -98,9 +99,9 @@ def test_sweep_equals_the_greedy_over_every_center(gamma, alpha):
 
 def test_partition_rejects_a_net_that_is_not_separated_or_not_maximal():
     with pytest.raises(ContractError, match="separated"):
-        build_partition(SPACE, Net(delta=0.1, centers=np.array([0, 1])))
+        build_partition(SPACE, 0.1, np.array([0, 1]))
     with pytest.raises(ContractError, match="maximal"):
-        build_partition(SPACE, Net(delta=0.1, centers=np.array([0])))
+        build_partition(SPACE, 0.1, np.array([0]))
 
 
 def test_net_command_peaks_below_one_dense_table(tmp_path):
@@ -118,11 +119,17 @@ def test_net_command_peaks_below_one_dense_table(tmp_path):
 
 def test_duplicate_centers_rejected():
     with pytest.raises(DomainError):
-        Net(delta=0.1, centers=np.array([3, 3]))
+        Net(delta=0.1, centers=np.array([3, 3]), assignment=np.zeros(SPACE.n, dtype=int))
+
+
+def test_assignment_that_does_not_index_the_centers_rejected():
+    for assignment in ([0, 1, 2], [0, -1, 1], [[0, 1]]):
+        with pytest.raises(DomainError, match="assignment"):
+            Net(delta=0.1, centers=np.array([3, 9]), assignment=np.array(assignment))
 
 
 def test_net_round_trip(tmp_path):
-    net = build_partition(SPACE, build_maximal_net(SPACE, 0.15))
+    net = build_maximal_net(SPACE, 0.15)
     path = tmp_path / "net.json"
     save_net(net, str(path))
     loaded = load_net(str(path))
@@ -131,15 +138,23 @@ def test_net_round_trip(tmp_path):
     assert np.array_equal(loaded.assignment, net.assignment)
 
 
+@pytest.mark.parametrize("entry", ['"assignment": null, ', ""])
+def test_net_file_without_assignment_rejected(tmp_path, entry):
+    path = tmp_path / "net.json"
+    path.write_text('{' + entry + '"centers": [0, 5], "delta": 0.2}\n')
+    with pytest.raises(DomainError, match="has no assignment"):
+        load_net(str(path))
+
+
 def test_net_sums_pass_with_printed_constants():
     delta = 0.2
-    net = build_partition(SPACE, build_maximal_net(SPACE, delta))
+    net = build_maximal_net(SPACE, delta)
     rng = np.random.default_rng(3)
     probes = rng.integers(0, SPACE.n, size=10)
     others = rng.integers(0, SPACE.n, size=10)
     all_ids = set()
     for s, s2 in zip(probes, others):
-        reports = verify_net_sums(SPACE, net, s, 2 * delta, sigma_exp=5.0, k=2, s2=s2)
+        reports = verify_net_sums(SPACE, net, s, EnvelopeParams(delta=2 * delta, sigma_exp=5.0, k=2), s2=s2)
         assert all(r.passed for r in reports)
         all_ids.update(r.check_id for r in reports)
     assert all_ids == {
@@ -152,8 +167,8 @@ def test_net_sums_pass_with_printed_constants():
 
 
 def test_net_sums_low_exponent_skips_product_parts():
-    net = build_partition(SPACE, build_maximal_net(SPACE, 0.2))
-    reports = verify_net_sums(SPACE, net, 38, 0.4, sigma_exp=3.0, k=2)
+    net = build_maximal_net(SPACE, 0.2)
+    reports = verify_net_sums(SPACE, net, 38, EnvelopeParams(delta=0.4, sigma_exp=3.0, k=2))
     ids = {r.check_id for r in reports}
     assert "net.sum.envelope_product" not in ids
     assert "net.sum.decay_product" not in ids
@@ -162,8 +177,8 @@ def test_net_sums_low_exponent_skips_product_parts():
 
 def test_net_sum_constant_is_exact_at_unit_exponent():
     # Rounded-up exponent 1: the pure center sum carries constant 2^(3k+2) = 32.
-    net = build_partition(SPACE, build_maximal_net(SPACE, 0.2))
-    reports = verify_net_sums(SPACE, net, 34, 0.4, sigma_exp=3.0, k=1)
+    net = build_maximal_net(SPACE, 0.2)
+    reports = verify_net_sums(SPACE, net, 34, EnvelopeParams(delta=0.4, sigma_exp=3.0, k=1))
     by_id = {r.check_id: r for r in reports}
     assert by_id["net.sum.center_decay"].paper_constant == 32.0
     assert by_id["net.sum.cell_decay"].paper_constant == 16.0

@@ -19,7 +19,6 @@ from heatframe import (
     band_index,
     build_basis,
     build_maximal_net,
-    build_partition,
     decomposition_to_csv,
     dominated_operator,
     envelope,
@@ -62,14 +61,14 @@ def test_heat_multiplier_matches_heat_kernel(legendre_basis):
     multiplier = spectral_multiplier(
         legendre_basis, lambda beta: np.exp(-t * beta)
     )
-    scale = np.abs(kernel.table).max()
-    assert np.abs(multiplier.table - kernel.table).max() <= 1e-13 * scale
+    scale = np.abs(kernel).max()
+    assert np.abs(multiplier.table - kernel).max() <= 1e-13 * scale
 
 
 def test_domination_certificate_fit_and_rejection(legendre_space, legendre_basis):
     delta = 0.2
     params = EnvelopeParams(delta=delta, sigma_exp=5.0, k=2)
-    table = heat_kernel(legendre_basis, delta**2).table
+    table = heat_kernel(legendre_basis, delta**2)
     op = dominated_operator(legendre_space, table, params)
     assert op.domination is not None
     assert op.domination.a_prime > 0.0
@@ -87,7 +86,7 @@ def _doubling(space):
 
 def test_domination_max_is_the_whole_table_max_within_one_table_of_memory():
     space = make_jacobi_space(0.0, 0.0, 1024)
-    table = heat_kernel(build_basis(space, JacobiParams(0.0, 0.0), 200), 0.01).table
+    table = heat_kernel(build_basis(space, JacobiParams(0.0, 0.0), 200), 0.01)
     params = EnvelopeParams(delta=0.1, sigma_exp=5.0, k=2)
     tracemalloc.start()
     try:
@@ -107,7 +106,7 @@ def test_young_bound_holds_for_heat_kernel(legendre_space, legendre_basis, rng):
     profile = _doubling(legendre_space)
     params = EnvelopeParams(delta=delta, sigma_exp=2 * profile.k + 1, k=profile.k)
     op = dominated_operator(
-        legendre_space, heat_kernel(legendre_basis, delta**2).table, params
+        legendre_space, heat_kernel(legendre_basis, delta**2), params
     )
     trials = random_polynomials(legendre_basis, 20, 16, rng)
     for p, q in ((1.0, 1.0), (1.0, 2.0), (2.0, 2.0), (1.0, math.inf), (2.0, math.inf)):
@@ -125,7 +124,7 @@ def test_young_requires_wide_envelope_exponent(legendre_space, legendre_basis, r
     k = profile.k
     params = EnvelopeParams(delta=0.2, sigma_exp=2 * k + 0.5, k=k)
     op = dominated_operator(
-        legendre_space, heat_kernel(legendre_basis, 0.04).table, params
+        legendre_space, heat_kernel(legendre_basis, 0.04), params
     )
     trials = random_polynomials(legendre_basis, 4, 8, rng)
     with pytest.raises(PreconditionError):
@@ -133,7 +132,7 @@ def test_young_requires_wide_envelope_exponent(legendre_space, legendre_basis, r
 
 
 def test_schur_bound_holds(legendre_space, legendre_basis, rng):
-    op = KernelOperator(heat_kernel(legendre_basis, 0.3).table)
+    op = KernelOperator(heat_kernel(legendre_basis, 0.3))
     trials = random_polynomials(legendre_basis, 10, 16, rng)
     for p, q, r in ((2.0, 2.0, 1.0), (1.0, 2.0, 2.0)):
         report = verify_schur(legendre_space, op, p, q, r, trials)
@@ -154,7 +153,7 @@ def test_band_index_breakpoints():
 
 
 def test_blocks_partition_all_indices(legendre_space, legendre_basis):
-    net = build_partition(legendre_space, build_maximal_net(legendre_space, 0.2))
+    net = build_maximal_net(legendre_space, 0.2)
     f = legendre_basis.values[3] + 0.5 * legendre_basis.values[17]
     decomp = band_decompose(legendre_basis, net, f)
     seen = sorted(i for _, idx in decomp.blocks for i in idx)
@@ -162,7 +161,7 @@ def test_blocks_partition_all_indices(legendre_space, legendre_basis):
 
 
 def test_single_mode_concentrates_in_one_block(legendre_space, legendre_basis):
-    net = build_partition(legendre_space, build_maximal_net(legendre_space, 0.2))
+    net = build_maximal_net(legendre_space, 0.2)
     f = legendre_basis.values[3]  # beta_3 = 12, so block 2 (4 < 12 <= 16)
     decomp = band_decompose(legendre_basis, net, f)
     energies = dict(zip((j for j, _ in decomp.blocks), decomp.block_energies))
@@ -173,7 +172,7 @@ def test_single_mode_concentrates_in_one_block(legendre_space, legendre_basis):
 
 
 def test_band_reports_pass(legendre_space, legendre_basis, rng):
-    net = build_partition(legendre_space, build_maximal_net(legendre_space, 0.2))
+    net = build_maximal_net(legendre_space, 0.2)
     f = random_polynomials(legendre_basis, 1, legendre_basis.degree, rng)[0]
     decomp, reports = verify_band_decomposition(legendre_basis, net, f)
     assert all(r.passed for r in reports)
@@ -186,7 +185,7 @@ def test_band_reports_pass(legendre_space, legendre_basis, rng):
 
 
 def test_decomposition_csv_layout(tmp_path, legendre_space, legendre_basis, rng):
-    net = build_partition(legendre_space, build_maximal_net(legendre_space, 0.3))
+    net = build_maximal_net(legendre_space, 0.3)
     f = random_polynomials(legendre_basis, 1, 10, rng)[0]
     decomp = band_decompose(legendre_basis, net, f)
     path = tmp_path / "decomp.csv"

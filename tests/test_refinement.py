@@ -8,6 +8,7 @@ import pytest
 
 from heatframe import (
     ContractError,
+    JacobiParams,
     build_basis,
     coefficients,
     factored_kernel,
@@ -30,7 +31,7 @@ def lean():
 
 @pytest.fixture(scope="module")
 def full(lean):
-    return build_basis(lean.space, lean.params, lean.degree)
+    return build_basis(lean.space, JacobiParams(CONFIG.gamma, CONFIG.alpha), lean.degree)
 
 
 def test_refinement_stores_fewer_rows_than_its_degree(lean):

@@ -57,7 +57,7 @@ def test_refinement_calls_are_sized_by_their_basis(legendre_basis):
     calls = [
         (verify_poincare, (legendre_basis, [(0.0, 0.5)], np.random.default_rng(0))),
         (fit_gaussian_bounds, (legendre_basis, (0.1,), [(0.0, 0.5)])),
-        (verify_holder, (legendre_basis, (0.1,), [(0.0, 0.5, 0.4)])),
+        (verify_holder, (legendre_basis, (0.1,), [(0.0, 0.5, 0.4)], 0.5)),
         (verify_eigen_action, (legendre_basis, 0.1, 3)),
     ]
     for fn, args in calls:
