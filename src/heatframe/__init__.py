@@ -17,7 +17,6 @@ from .errors import (
     HeatframeError,
     PreconditionError,
     SamplingError,
-    TruncationError,
     TruncationWarning,
 )
 from .geometry import (
@@ -44,15 +43,9 @@ from .heat import (
 from .jacobi import (
     JacobiParams,
     SpectralBasis,
-    apply_L,
     build_basis,
-    carre_du_champ,
-    carre_du_champ_gradient,
     coefficients,
-    derivative_values,
-    effective_degree,
     eigenvalue,
-    form_omega,
     random_polynomials,
     synthesize,
     verify_poincare,
@@ -75,7 +68,6 @@ from .operators import (
     band_index,
     decomposition_to_csv,
     dominated_operator,
-    spectral_multiplier,
     verify_band_decomposition,
     verify_schur,
     verify_young,

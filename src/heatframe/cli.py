@@ -226,18 +226,19 @@ def run_verify(config: RunConfig) -> int:
     for p, q, r in SCHUR_EXPONENTS:
         reports.append(operators.verify_schur(space, kernel_op, p, q, r, schur_trials))
 
-    # Poincare constant fitted on sampled balls, with its refinement stability;
-    # the carre du champ route is cross-checked by the tests, not here
+    # Poincare constant fitted on sampled balls, with its refinement stability
     ball_centers = space.points[rng.integers(0, space.n, size=12)]
     ball_radii = rng.uniform(0.1, min(1.0, space.diameter / 3.0), size=12)
     balls = list(zip(ball_centers, ball_radii))
+    weight = jacobi.JacobiParams(config.gamma, config.alpha)
     poincare_rng = np.random.default_rng(config.seed + 1)
     poincare_base = jacobi.verify_poincare(
-        basis, balls, poincare_rng, max_degree=min(POINCARE_DEGREE, basis.degree)
+        basis, weight, balls, poincare_rng, max_degree=min(POINCARE_DEGREE, basis.degree)
     )
     reports.extend(poincare_base)
     poincare_fine = jacobi.verify_poincare(
         basis_fine,
+        weight,
         balls,
         np.random.default_rng(config.seed + 1),
         max_degree=min(POINCARE_DEGREE, basis_fine.degree),

@@ -41,10 +41,10 @@ class EnvelopeParams:
     k: int
 
     def __post_init__(self) -> None:
-        if self.delta <= 0.0:
-            raise DomainError("delta must be positive")
-        if self.sigma_exp <= 0.0:
-            raise DomainError("sigma_exp must be positive")
+        if not (0.0 < self.delta < math.inf):
+            raise DomainError("delta must be finite and positive")
+        if not (0.0 < self.sigma_exp < math.inf):
+            raise DomainError("sigma_exp must be finite and positive")
         if int(self.k) != self.k or self.k < 1:
             raise DomainError("k must be a positive integer")
         object.__setattr__(self, "k", int(self.k))
@@ -54,7 +54,13 @@ class EnvelopeParams:
         """Decay-integral constant; needs sigma_exp > k."""
         if self.sigma_exp <= self.k:
             raise DomainError("a1 needs sigma_exp > k")
-        return 1.0 / (2.0 ** (-self.k) - 2.0 ** (-self.sigma_exp))
+        # a1 >= 2^k is past the float range from k = 1024 (sooner for sigma_exp near k)
+        gap = 2.0 ** (-self.k) - 2.0 ** (-self.sigma_exp)
+        if gap == 0.0 or math.isinf(1.0 / gap):
+            raise PreconditionError(
+                f"constant a1 overflows (at least 2^{self.k} is past the float range); the bound is vacuous"
+            )
+        return 1.0 / gap
 
     @property
     def a2(self) -> float:

@@ -22,10 +22,6 @@ class ExactnessError(HeatframeError):
     """The quadrature rule cannot represent the requested degree or scale."""
 
 
-class TruncationError(HeatframeError):
-    """An operation would push spectral content past the basis degree."""
-
-
 class SamplingError(HeatframeError):
     """A sample set is empty or contains no admissible entries."""
 

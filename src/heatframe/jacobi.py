@@ -1,4 +1,4 @@
-"""Spectral basis for the Jacobi operator and its energy forms.
+"""Spectral basis for the Jacobi operator and the Poincare fit on its balls.
 
 The operator L acts on functions over [-1, 1] with weight
 (1-x)^gamma (1+x)^alpha and has the orthonormal polynomial eigenbasis
@@ -6,44 +6,30 @@ The operator L acts on functions over [-1, 1] with weight
     L P_i = beta_i P_i,    beta_i = i (i + gamma + alpha + 1).
 
 On a Gauss quadrature space the discrete coefficient map is exact for
-polynomials up to the basis degree, so L, spectral multipliers, and heat
-kernels are all evaluated through the eigenexpansion.  The module also
-carries the two first-order forms attached to L: the integrated energy
+polynomials up to the basis degree, so spectral multipliers and heat kernels
+are evaluated through the eigenexpansion.  The basis holds nodal values only.
+The one first-order quantity a verdict reads, the squared-gradient density
 
-    omega(f, g) = integral of (1 - x^2) f' g'  d sigma,
+    Gamma(f) = (1 - x^2) f'^2
 
-and the pointwise squared-gradient field
-
-    carre(f, g) = (f L g + g L f - L(fg)) / 2,
-
-which for polynomials agrees with (1 - x^2) f' g' node by node.  The order
-of terms in carre is chosen so that carre(f, f) is a nonnegative energy
-density; the opposite ordering flips its sign.
+of the Poincare fit, takes the derivatives of its few low rows from the
+recurrence when the fit runs.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ._recurrence import JacobiParams, orthonormal_rows, recurrence_coefficients
-from .errors import (
-    ContractError,
-    DomainError,
-    ExactnessError,
-    SamplingError,
-    TruncationError,
-    TruncationWarning,
-)
+from .errors import ContractError, DomainError, ExactnessError, SamplingError
 from .geometry import MetricMeasureSpace, ball_members
 from .reporting import VerificationReport, make_report
 
 _ORTHO_TOL = 1e-10
-_COEFF_CUTOFF = 1e-12
-_RESID_TOL = 1e-8  # analysis residual, relative to max(1, |f|), past which apply_L warns
+_ROW_MATCH_TOL = 1e-8  # recurrence rows against the stored rows, relative to their largest entry
 POINCARE_FUNCTIONS = 20  # random polynomials per ball in the Poincare fit
 _BLOCK_BYTES = 8 * 2**20  # one node block of the recurrence: every row at its nodes
 _PANEL_ROWS = 256  # Gram rows one block's product updates at a time
@@ -63,22 +49,21 @@ def eigenvalues(params: JacobiParams, degree: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralBasis:
-    """Nodal tables of the orthonormal eigenbasis on a quadrature space.
+    """Nodal table of the orthonormal eigenbasis on a quadrature space.
 
-    values[i, j] = P_i(x_j) and deriv_values[i, j] = P_i'(x_j); rows are
-    renormalized to exact unit discrete norm so that analysis followed by
-    synthesis is an exact projection at the stored degree.
+    values[i, j] = P_i(x_j); rows are renormalized to exact unit discrete
+    norm so that analysis followed by synthesis is an exact projection at
+    the stored degree.
 
     A basis may store only its leading rows (``build_basis(...,
     stored_rows=K)``) while keeping every eigenvalue; ``degree`` is read off
-    the eigenvalues, so it stays that of the full basis.  Read
-    the tables through ``rows`` and ``deriv_rows``, which raise ContractError
-    for a row that is not stored rather than return fewer rows.
+    the eigenvalues, so it stays that of the full basis.  Read the table
+    through ``rows``, which raises ContractError for a row that is not
+    stored rather than return fewer rows.
     """
 
     space: MetricMeasureSpace
     values: np.ndarray
-    deriv_values: np.ndarray
     eigenvalues: np.ndarray
 
     @property
@@ -91,19 +76,12 @@ class SpectralBasis:
 
     def rows(self, count: int | None = None) -> np.ndarray:
         """P_0..P_{count-1} at the nodes (every row by default)."""
-        return _leading(self.values, self.size if count is None else count)
-
-    def deriv_rows(self, count: int | None = None) -> np.ndarray:
-        """P_0'..P_{count-1}' at the nodes (every row by default)."""
-        return _leading(self.deriv_values, self.size if count is None else count)
-
-
-def _leading(table: np.ndarray, count: int) -> np.ndarray:
-    if count > table.shape[0]:
-        raise ContractError(
-            f"rows 0..{count - 1} requested, but the basis stores rows 0..{table.shape[0] - 1} only"
-        )
-    return table[:count]
+        count = self.size if count is None else count
+        if count > self.values.shape[0]:
+            raise ContractError(
+                f"rows 0..{count - 1} requested, but the basis stores rows 0..{self.values.shape[0] - 1} only"
+            )
+        return self.values[:count]
 
 
 def build_basis(
@@ -118,10 +96,10 @@ def build_basis(
     The recurrence runs over blocks of nodes.  Each block adds its share
     S_b S_b^T, with S = V sqrt(w), to the Gram matrix of every row, so the
     check covers all degree + 1 rows while only ``stored_rows`` of them (all
-    by default) are kept, with their derivatives.  The share goes in by
-    panels of rows on and above the diagonal: the matrix is symmetric, the
-    product costs what a symmetric rank-k update costs, and no temporary
-    of the matrix's size is made.  Entries below the diagonal panels stay 0.
+    by default) are kept.  The share goes in by panels of rows on and above
+    the diagonal: the matrix is symmetric, the product costs what a
+    symmetric rank-k update costs, and no temporary of the matrix's size is
+    made.  Entries below the diagonal panels stay 0.
     """
     if degree < 0:
         raise DomainError("degree must be nonnegative")
@@ -135,17 +113,14 @@ def build_basis(
         raise DomainError("stored rows must lie in [1, degree + 1]")
     a, b, mu0 = recurrence_coefficients(params.gamma, params.alpha, degree)
     values = np.empty((keep, space.n))
-    derivs = np.empty((keep, space.n))
     gram = np.zeros((size, size))
     root_w = np.sqrt(space.weights)
     width = max(1, _BLOCK_BYTES // (8 * size))
     for lo in range(0, space.n, width):
         nodes = slice(lo, min(lo + width, space.n))
         block = np.empty((size, nodes.stop - lo))
-        for k, (v, d) in enumerate(orthonormal_rows(a, b, mu0, space.points[nodes], deriv_rows=keep)):
+        for k, (v, _) in enumerate(orthonormal_rows(a, b, mu0, space.points[nodes], deriv_rows=0)):
             block[k] = v
-            if k < keep:
-                derivs[k, nodes] = d
         values[:, nodes] = block[:keep]
         block *= root_w[nodes]
         for top in range(0, size, _PANEL_ROWS):
@@ -153,7 +128,6 @@ def build_basis(
             gram[panel, top:] += block[panel] @ block[top:].T
     norms = np.sqrt((values * values) @ space.weights)
     values /= norms[:, None]
-    derivs /= norms[:, None]
     # the Gram matrix of the normalized rows, from the raw one
     scale = 1.0 / np.sqrt(np.diag(gram))
     gram *= scale[:, None]
@@ -162,12 +136,7 @@ def build_basis(
     defect = float(np.abs(gram, out=gram).max())
     if defect > _ORTHO_TOL:
         raise ExactnessError(f"discrete Gram defect {defect:.2e}; space does not match the weight")
-    return SpectralBasis(
-        space=space,
-        values=values,
-        deriv_values=derivs,
-        eigenvalues=eigenvalues(params, degree),
-    )
+    return SpectralBasis(space=space, values=values, eigenvalues=eigenvalues(params, degree))
 
 
 def coefficients(basis: SpectralBasis, f: np.ndarray) -> np.ndarray:
@@ -191,76 +160,6 @@ def multiplier_table(rows: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
     ``rows`` (basis values at some or all nodes)."""
     table = rows.T @ (multiplier[:, None] * rows)
     return 0.5 * (table + table.T)
-
-
-def effective_degree(coeffs: np.ndarray) -> int:
-    """Largest index carrying non-negligible energy (0 for the zero vector)."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    scale = float(np.linalg.norm(coeffs))
-    if scale == 0.0:
-        return 0
-    significant = np.nonzero(np.abs(coeffs) > _COEFF_CUTOFF * scale)[0]
-    return int(significant[-1]) if significant.size else 0
-
-
-def apply_L(basis: SpectralBasis, f: np.ndarray) -> np.ndarray:
-    """Apply the operator through the eigenexpansion.
-
-    Content of f above the basis degree cannot be represented; if the
-    analysis residual exceeds _RESID_TOL relative to f a truncation warning
-    is raised and the truncated result is returned.
-    """
-    f = np.asarray(f, dtype=float)
-    c = coefficients(basis, f)
-    resid = float(np.abs(f - synthesize(basis, c)).max())
-    scale = max(1.0, float(np.abs(f).max()))
-    if resid > _RESID_TOL * scale:
-        warnings.warn(
-            f"analysis residual {resid:.2e} above the basis degree; result is truncated",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    return synthesize(basis, basis.eigenvalues * c)
-
-
-def derivative_values(basis: SpectralBasis, f: np.ndarray) -> np.ndarray:
-    """Nodal derivative of the spectral representative of f."""
-    return coefficients(basis, f) @ basis.deriv_rows()
-
-
-def form_omega(basis: SpectralBasis, f: np.ndarray, g: np.ndarray) -> float:
-    """Energy form: integral of (1 - x^2) f' g' against the weight."""
-    fp = derivative_values(basis, f)
-    gp = derivative_values(basis, g)
-    x = basis.space.points
-    return float(((1.0 - x * x) * fp * gp) @ basis.space.weights)
-
-
-def carre_du_champ(basis: SpectralBasis, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Pointwise field (f Lg + g Lf - L(fg)) / 2.
-
-    The product fg must stay within the basis degree, otherwise L(fg) is
-    not computable exactly and the identity with (1 - x^2) f' g' breaks.
-    """
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    cf = coefficients(basis, f)
-    cg = coefficients(basis, g)
-    if effective_degree(cf) + effective_degree(cg) > basis.degree:
-        raise TruncationError("product degree exceeds the basis; enlarge the basis degree")
-    lf = apply_L(basis, f)
-    lg = apply_L(basis, g)
-    lfg = apply_L(basis, f * g)
-    return 0.5 * (f * lg + g * lf - lfg)
-
-
-def carre_du_champ_gradient(basis: SpectralBasis, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Independent route to the same field: (1 - x^2) f' g' from the
-    differentiated recurrence tables."""
-    fp = derivative_values(basis, f)
-    gp = derivative_values(basis, g)
-    x = basis.space.points
-    return (1.0 - x * x) * fp * gp
 
 
 def _random_coefficients(
@@ -290,8 +189,17 @@ def random_polynomials(
     return _random_coefficients(basis, count, max_degree, rng) @ basis.rows(max_degree + 1)
 
 
+def rows_with_derivatives(params: JacobiParams, x: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """P_0..P_{count-1} and P_0'..P_{count-1}' at the points x, as the
+    recurrence of the weight gives them: raw rows, not renormalized on a rule."""
+    a, b, mu0 = recurrence_coefficients(params.gamma, params.alpha, count - 1)
+    rows = list(orthonormal_rows(a, b, mu0, x, deriv_rows=count))
+    return np.array([v for v, _ in rows]), np.array([d for _, d in rows])
+
+
 def verify_poincare(
     basis: SpectralBasis,
+    params: JacobiParams,
     balls: Sequence[tuple[float, float]],
     rng: np.random.Generator,
     *,
@@ -301,12 +209,13 @@ def verify_poincare(
     """Fit the smallest K with  int_B |f - f_B|^2 <= K r^2 int_B dGamma(f, f)
     over POINCARE_FUNCTIONS random polynomials of degree max_degree.
 
-    Gamma here is the squared-gradient density (1 - x^2) f'^2, with f'
-    summed from the drawn coefficients over the derivative tables, so the
-    fit reads rows 0..max_degree only and does not feed on the spectral
-    identity it is meant to probe.  Balls need radii in (0, 1]; pairs where
-    both sides vanish are skipped.  The fit passes when K stays finite; a
-    second report checks K against an explicit candidate when one is given.
+    Gamma here is (1 - x^2) f'^2, with f' summed from the drawn coefficients
+    over P_0'..P_max_degree' from the recurrence of ``params`` (ContractError
+    if its rows are not the basis rows), so the fit does not feed on the
+    spectral identity it is meant to probe.  Balls need radii in (0, 1];
+    pairs where both sides vanish are skipped.  The fit passes when K stays
+    finite; a second report checks K against an explicit candidate when one
+    is given.
     """
     if not balls:
         raise SamplingError("need at least one ball")
@@ -315,8 +224,12 @@ def verify_poincare(
             raise DomainError("ball radii must lie in (0, 1]")
     space = basis.space
     coeffs = _random_coefficients(basis, POINCARE_FUNCTIONS, max_degree, rng)
-    fs = coeffs @ basis.rows(max_degree + 1)
-    fps = coeffs @ basis.deriv_rows(max_degree + 1)
+    rows = basis.rows(max_degree + 1)
+    raw, derivs = rows_with_derivatives(params, space.points, max_degree + 1)
+    if np.abs(raw - rows).max() > _ROW_MATCH_TOL * np.abs(rows).max():
+        raise ContractError("the basis rows are not the orthonormal rows of these weight exponents")
+    fs = coeffs @ rows
+    fps = coeffs @ derivs
     w = space.weights
     x = space.points
     # energy densities (1 - x^2) f'^2, one per function, shared by every ball

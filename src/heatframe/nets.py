@@ -16,6 +16,7 @@ and carry one extra doubling factor each for the cell-to-center transfer.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,12 +42,12 @@ class Net:
         assignment = np.asarray(self.assignment, dtype=int)
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "assignment", assignment)
-        if self.delta <= 0.0:
-            raise DomainError("delta must be positive")
+        if not (0.0 < self.delta < math.inf):
+            raise DomainError("delta must be finite and positive")
         if centers.ndim != 1 or centers.size == 0:
             raise DomainError("need at least one center")
-        if len(set(centers.tolist())) != centers.size:
-            raise DomainError("centers must be distinct")
+        if len(set(centers.tolist())) != centers.size or centers.min() < 0:
+            raise DomainError("centers must be distinct node indices")
         if assignment.ndim != 1 or assignment.min(initial=0) < 0 or assignment.max(initial=0) >= centers.size:
             raise DomainError("assignment must index the centers")
 
@@ -118,8 +119,18 @@ def build_partition(space: MetricMeasureSpace, delta: float, centers: np.ndarray
     return Net(delta=delta, centers=centers, assignment=assignment)
 
 
+def check_net_space(space: MetricMeasureSpace, net: Net) -> None:
+    """ContractError unless the net is one of this space: one assignment
+    entry per point, and every center a point of the space."""
+    if net.assignment.size != space.n:
+        raise ContractError(f"the net assigns {net.assignment.size} points, but the space has {space.n}")
+    if net.centers.max() >= space.n:
+        raise ContractError("net centers do not index this space")
+
+
 def cell_masses(space: MetricMeasureSpace, net: Net) -> np.ndarray:
     """sigma(P_center) for every center, in center order."""
+    check_net_space(space, net)
     return np.bincount(net.assignment, weights=space.weights, minlength=net.size)
 
 
@@ -240,8 +251,20 @@ def save_net(net: Net, path: str) -> None:
 
 
 def load_net(path: str) -> Net:
+    """Read a net that ``save_net`` wrote.  The file comes from outside the
+    program, so one that holds no such net raises DomainError naming it."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("assignment") is None:
-        raise DomainError(f"net file {path} has no assignment")
-    return Net(delta=float(doc["delta"]), centers=doc["centers"], assignment=doc["assignment"])
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"net file {path} is not JSON ({exc})") from None
+    doc = doc if isinstance(doc, dict) else {}
+    for key in ("delta", "centers", "assignment"):
+        if doc.get(key) is None:
+            raise DomainError(f"net file {path} has no {key}")
+    if type(doc["delta"]) not in (int, float):  # bool is an int, but no delta
+        raise DomainError(f"net file {path} has a non-numeric delta")
+    try:
+        return Net(delta=float(doc["delta"]), centers=doc["centers"], assignment=doc["assignment"])
+    except (TypeError, ValueError) as exc:  # DomainError is a ValueError
+        raise DomainError(f"net file {path}: {exc}") from None

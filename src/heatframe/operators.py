@@ -24,15 +24,14 @@ import csv
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .envelope import EnvelopeParams, envelope
 from .errors import ContractError, DomainError, PreconditionError
 from .geometry import DoublingProfile, MetricMeasureSpace, lp_norm
-from .jacobi import SpectralBasis, coefficients, multiplier_table, synthesize
-from .nets import Net, cell_masses
+from .jacobi import SpectralBasis, coefficients, synthesize
+from .nets import Net, cell_masses, check_net_space
 from .reporting import VerificationReport, make_report
 
 
@@ -226,16 +225,6 @@ def verify_schur(
     )
 
 
-def spectral_multiplier(basis: SpectralBasis, symbol: Callable[[np.ndarray], np.ndarray]) -> KernelOperator:
-    """Kernel of m(L): sum_i m(beta_i) P_i(x) P_i(y)."""
-    values = np.asarray(symbol(basis.eigenvalues), dtype=float)
-    if values.shape != basis.eigenvalues.shape:
-        raise ContractError("symbol must map the eigenvalue grid elementwise")
-    if not np.all(np.isfinite(values)):
-        raise DomainError("symbol values must be finite")
-    return KernelOperator(table=multiplier_table(basis.rows(), values))
-
-
 def band_index(beta: float) -> int:
     """Dyadic block of an eigenvalue: 0 for beta <= 1, else the smallest j
     with beta <= 2^(2j)."""
@@ -268,8 +257,7 @@ def band_decompose(basis: SpectralBasis, net: Net, f: np.ndarray) -> BandDecompo
     (worst two-sided energy distortion over blocks carrying energy).
     """
     space = basis.space
-    if net.centers.max(initial=0) >= space.n:
-        raise ContractError("net centers do not index this space")
+    check_net_space(space, net)
     f = np.asarray(f, dtype=float)
     if f.shape != (space.n,):
         raise ContractError("nodal values must align with the space")

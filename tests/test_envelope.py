@@ -12,6 +12,7 @@ from heatframe import (
     DomainError,
     EnvelopeParams,
     MetricMeasureSpace,
+    PreconditionError,
     ball_volumes_at_nodes,
     envelope,
     lp_norm,
@@ -151,10 +152,30 @@ def test_lemma_integrals_pass_and_skip_by_hypothesis():
     assert all(r.passed for r in narrow)
 
 
-def test_envelope_params_validation():
+@pytest.mark.parametrize(
+    "delta, sigma_exp, k",
+    [
+        (0.0, 5.0, 2),
+        (0.2, -1.0, 2),
+        (0.2, 5.0, 0),
+        (1.0, math.nan, 2),
+        (math.nan, 3.0, 1),
+        (1.0, math.inf, 2),
+        (math.inf, 3.0, 1),
+    ],
+)
+def test_envelope_params_validation(delta, sigma_exp, k):
     with pytest.raises(DomainError):
-        EnvelopeParams(delta=0.0, sigma_exp=5.0, k=2)
-    with pytest.raises(DomainError):
-        EnvelopeParams(delta=0.2, sigma_exp=-1.0, k=2)
-    with pytest.raises(DomainError):
-        EnvelopeParams(delta=0.2, sigma_exp=5.0, k=0)
+        EnvelopeParams(delta=delta, sigma_exp=sigma_exp, k=k)
+
+
+@pytest.mark.parametrize("sigma_exp, k", [(3000.0, 1100), (1023.5, 1023), (2101.0, 1050)])
+def test_a1_past_the_float_range_is_a_vacuous_bound(sigma_exp, k):
+    # a1 >= 2^k: at k = 1100 the gap 2^-k - 2^-sigma_exp underflows to 0,
+    # and at the other two it is subnormal, so 1/gap overflows.
+    with pytest.raises(PreconditionError, match="a1 overflows"):
+        EnvelopeParams(delta=1.0, sigma_exp=sigma_exp, k=k).a1
+
+
+def test_a1_near_the_float_range_keeps_its_value():
+    assert EnvelopeParams(delta=1.0, sigma_exp=2000.0, k=1000).a1 == 2.0**1000

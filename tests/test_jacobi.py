@@ -1,30 +1,29 @@
-"""Spectral basis, operator action, energy form, and carre du champ."""
+"""Spectral basis, on-demand derivative rows, and the Poincare fit."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from heatframe import (
+    ContractError,
     DomainError,
     ExactnessError,
     JacobiParams,
     MetricMeasureSpace,
-    TruncationError,
-    apply_L,
+    SpectralBasis,
     build_basis,
-    carre_du_champ,
-    carre_du_champ_gradient,
     coefficients,
-    derivative_values,
-    effective_degree,
     eigenvalue,
-    form_omega,
     make_jacobi_space,
     random_polynomials,
     synthesize,
     verify_poincare,
 )
+from heatframe.jacobi import rows_with_derivatives
+
+FLAT = JacobiParams(0.0, 0.0)
 
 
 def test_eigenvalues_closed_form():
@@ -79,56 +78,18 @@ def test_analysis_synthesis_round_trip(legendre_basis, rng):
     assert coefficients(legendre_basis, f) == pytest.approx(coeffs, rel=1e-11, abs=1e-12)
 
 
-def test_effective_degree_ignores_roundoff_tail():
-    coeffs = np.array([0.0, 0.0, 1.0, 1e-15])
-    assert effective_degree(coeffs) == 2
+def test_basis_is_the_triple_space_values_eigenvalues():
+    assert [field.name for field in fields(SpectralBasis)] == ["space", "values", "eigenvalues"]
 
 
-def test_operator_action_closed_forms(legendre_space, legendre_basis):
+def test_on_demand_derivatives_closed_form(legendre_space, legendre_basis):
+    # P_1 = sqrt(3/2) x and P_2 = sqrt(5/2) (3x^2 - 1)/2 for the flat weight.
     x = legendre_space.points
-    assert apply_L(legendre_basis, x) == pytest.approx(2.0 * x, abs=1e-10)
-    # L(x^2) = -d/dx[(1-x^2) d/dx x^2] = 6x^2 - 2.
-    assert apply_L(legendre_basis, x**2) == pytest.approx(6.0 * x**2 - 2.0, abs=1e-9)
-
-
-def test_derivatives_closed_form(legendre_space, legendre_basis):
-    x = legendre_space.points
-    assert derivative_values(legendre_basis, x**2) == pytest.approx(2.0 * x, abs=1e-10)
-
-
-def test_energy_form_on_first_mode(legendre_space, legendre_basis):
-    p1 = legendre_basis.values[1]
-    # omega(f, f) = beta_1 ||f||^2 = 2 for the unit-norm first mode.
-    assert form_omega(legendre_basis, p1, p1) == pytest.approx(2.0, rel=1e-12)
-    f = legendre_basis.values[2]
-    assert form_omega(legendre_basis, p1, f) == pytest.approx(
-        form_omega(legendre_basis, f, p1), rel=1e-12, abs=1e-13
-    )
-
-
-def test_carre_du_champ_closed_form(legendre_space, legendre_basis):
-    x = legendre_space.points
-    # Gamma(x, x) = (2x Lx - L(x^2))/2 = 1 - x^2.
-    assert carre_du_champ(legendre_basis, x, x) == pytest.approx(
-        1.0 - x**2, abs=1e-10
-    )
-
-
-def test_carre_du_champ_matches_gradient_route(legendre_basis, rng):
-    polys = random_polynomials(legendre_basis, 40, 20, rng)
-    for i in range(0, 40, 2):
-        f, g = polys[i], polys[i + 1]
-        via_operator = carre_du_champ(legendre_basis, f, g)
-        via_gradient = carre_du_champ_gradient(legendre_basis, f, g)
-        assert np.abs(via_operator - via_gradient).max() <= 1e-8
-        energy = carre_du_champ(legendre_basis, f, f)
-        assert energy.min() >= -1e-10
-
-
-def test_carre_du_champ_rejects_untrackable_products(legendre_basis):
-    top = legendre_basis.values[legendre_basis.degree]
-    with pytest.raises(TruncationError):
-        carre_du_champ(legendre_basis, top, top)
+    values, derivs = rows_with_derivatives(FLAT, x, 3)
+    assert values == pytest.approx(legendre_basis.rows(3), abs=1e-13)
+    assert derivs[0] == pytest.approx(np.zeros(64), abs=0.0)
+    assert derivs[1] == pytest.approx(np.full(64, math.sqrt(1.5)), rel=1e-14)
+    assert derivs[2] == pytest.approx(3.0 * math.sqrt(2.5) * x, rel=1e-13, abs=1e-14)
 
 
 def test_random_polynomials_have_unit_norm(legendre_space, legendre_basis, rng):
@@ -143,16 +104,24 @@ def test_poincare_fit_and_candidate_bound(legendre_basis):
     balls = [(float(c), float(r)) for c, r in zip(
         rng.uniform(-0.9, 0.9, size=8), rng.uniform(0.2, 1.0, size=8)
     )]
-    reports = verify_poincare(legendre_basis, balls, np.random.default_rng(2))
+    reports = verify_poincare(legendre_basis, FLAT, balls, np.random.default_rng(2))
     by_id = {r.check_id: r for r in reports}
     fit = by_id["poincare.fit"]
     assert fit.passed
     assert math.isfinite(fit.context["K_fit"]) and fit.context["K_fit"] > 0.0
     bounded = verify_poincare(
         legendre_basis,
+        FLAT,
         balls,
         np.random.default_rng(2),
         K_candidate=1e6,
     )
     by_id = {r.check_id: r for r in bounded}
     assert by_id["poincare.bound"].passed
+
+
+def test_poincare_rejects_exponents_of_another_weight(legendre_basis):
+    # The derivatives of another weight's polynomials would fit a Gamma the
+    # basis does not carry.
+    with pytest.raises(ContractError, match="weight exponents"):
+        verify_poincare(legendre_basis, JacobiParams(0.5, 0.0), [(0.0, 0.5)], np.random.default_rng(0))

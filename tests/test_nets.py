@@ -14,8 +14,11 @@ from heatframe import (
     ContractError,
     DomainError,
     EnvelopeParams,
+    JacobiParams,
     Net,
     ball_volume,
+    band_decompose,
+    build_basis,
     build_maximal_net,
     build_partition,
     cell_masses,
@@ -117,9 +120,10 @@ def test_net_command_peaks_below_one_dense_table(tmp_path):
     assert peak < 2048 * 2048 * 8
 
 
-def test_duplicate_centers_rejected():
-    with pytest.raises(DomainError):
-        Net(delta=0.1, centers=np.array([3, 3]), assignment=np.zeros(SPACE.n, dtype=int))
+@pytest.mark.parametrize("centers", [[3, 3], [-1, 3]])
+def test_duplicate_or_negative_centers_rejected(centers):
+    with pytest.raises(DomainError, match="distinct node indices"):
+        Net(delta=0.1, centers=np.array(centers), assignment=np.zeros(SPACE.n, dtype=int))
 
 
 def test_assignment_that_does_not_index_the_centers_rejected():
@@ -138,12 +142,46 @@ def test_net_round_trip(tmp_path):
     assert np.array_equal(loaded.assignment, net.assignment)
 
 
-@pytest.mark.parametrize("entry", ['"assignment": null, ', ""])
-def test_net_file_without_assignment_rejected(tmp_path, entry):
+@pytest.mark.parametrize(
+    "text, complaint",
+    [
+        ('{"assignment": null, "centers": [0, 5], "delta": 0.2}', "has no assignment"),
+        ('{"centers": [0, 5], "delta": 0.2}', "has no assignment"),
+        ('{"assignment": [0, 0], "centers": [0]}', "has no delta"),
+        ('{"assignment": [0, 0], "delta": 0.2}', "has no centers"),
+        ('{"assignment": [0, 0], "centers": [0], "delta": "0.2"}', "non-numeric delta"),
+        ('{"assignment": [0, 0], "centers": [0], "delta": [0.2]}', "non-numeric delta"),
+        ('{"assignment": [0, 0], "centers": [0], "delta": true}', "non-numeric delta"),
+        ('{"assignment": [0, 0], "centers": [0], "delta": NaN}', "finite and positive"),
+        ('{"assignment": [0, 0], "centers": ["a"], "delta": 0.2}', "net.json"),
+        ('{"assignment": [0, 1], "centers": [0], "delta": 0.2}', "assignment must index"),
+        ("[0.2, [0], [0, 0]]", "has no delta"),
+        ('{"delta": 0.2,', "is not JSON"),
+    ],
+)
+def test_malformed_net_file_rejected_naming_the_file(tmp_path, text, complaint):
     path = tmp_path / "net.json"
-    path.write_text('{' + entry + '"centers": [0, 5], "delta": 0.2}\n')
-    with pytest.raises(DomainError, match="has no assignment"):
+    path.write_text(text + "\n")
+    with pytest.raises(DomainError, match=complaint) as caught:
         load_net(str(path))
+    assert str(path) in str(caught.value)
+
+
+@pytest.mark.parametrize(
+    "net",
+    [
+        Net(0.2, [0, 5], [0, 1, 0]),  # three points against the space's 64
+        Net(0.2, [0, 64], np.zeros(SPACE.n, dtype=int)),  # a center past the last node
+    ],
+)
+def test_net_of_another_space_rejected(net):
+    basis = build_basis(SPACE, JacobiParams(0.0, 0.0), 20)
+    with pytest.raises(ContractError):
+        cell_masses(SPACE, net)
+    with pytest.raises(ContractError):
+        verify_net_sums(SPACE, net, 3, EnvelopeParams(delta=0.4, sigma_exp=5.0, k=2))
+    with pytest.raises(ContractError):
+        band_decompose(basis, net, basis.values[1])
 
 
 def test_net_sums_pass_with_printed_constants():

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from heatframe import fit_gaussian_bounds, verify_eigen_action, verify_holder, verify_poincare
+from heatframe import JacobiParams, fit_gaussian_bounds, verify_eigen_action, verify_holder, verify_poincare
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -55,7 +55,7 @@ def test_refinement_calls_are_sized_by_their_basis(legendre_basis):
     basis must be sized by ``basis.space``."""
     tracer = _load_tracer()
     calls = [
-        (verify_poincare, (legendre_basis, [(0.0, 0.5)], np.random.default_rng(0))),
+        (verify_poincare, (legendre_basis, JacobiParams(0.0, 0.0), [(0.0, 0.5)], np.random.default_rng(0))),
         (fit_gaussian_bounds, (legendre_basis, (0.1,), [(0.0, 0.5)])),
         (verify_holder, (legendre_basis, (0.1,), [(0.0, 0.5, 0.4)], 0.5)),
         (verify_eigen_action, (legendre_basis, 0.1, 3)),
