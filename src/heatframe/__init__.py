@@ -61,7 +61,6 @@ from .nets import (
 )
 from .operators import (
     BandDecomposition,
-    DominationCertificate,
     KernelOperator,
     apply_operator,
     band_decompose,

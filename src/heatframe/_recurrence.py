@@ -68,23 +68,22 @@ def recurrence_coefficients(gamma: float, alpha: float, n: int) -> tuple[np.ndar
 
 
 def orthonormal_rows(
-    a: np.ndarray, b: np.ndarray, mu0: float, x: np.ndarray, *, deriv_rows: int | None = None
+    a: np.ndarray, b: np.ndarray, mu0: float, x: np.ndarray, *, deriv_rows: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
     """Yield (p_k(x), p_k'(x)) for k = 0..len(a) - 1 from the recurrence
     coefficients (a, b, mu0), holding only the two previous rows.
 
-    Derivatives are computed for rows 0..deriv_rows - 1 (every row by
-    default); past them the derivative slot is None.  Every yielded row is a
-    fresh array the caller may keep.
+    Derivatives are computed for rows 0..deriv_rows - 1; past them the
+    derivative slot is None.  Every yielded row is a fresh array the caller
+    may keep.
     """
-    n_derivs = len(a) if deriv_rows is None else deriv_rows
     v_prev = d_prev = None
     v = np.full(x.shape, 1.0 / math.sqrt(mu0))
-    d = np.zeros(x.shape) if n_derivs > 0 else None
+    d = np.zeros(x.shape) if deriv_rows > 0 else None
     yield v, d
     for k in range(len(a) - 1):
         sb_next = math.sqrt(b[k + 1])
-        derivs = k + 1 < n_derivs
+        derivs = k + 1 < deriv_rows
         if k == 0:
             v_next = (x - a[0]) * v / sb_next
             d_next = v / sb_next if derivs else None
@@ -219,7 +218,7 @@ def _newton(a, b, mu0, exponents, phi, side, tol, brackets=None):
             break
         t, s = phi[todo], side[todo]
         at = s * np.cos(t)
-        p, dp = deque(orthonormal_rows(a, b, mu0, at), maxlen=1).pop()  # row n only
+        p, dp = deque(orthonormal_rows(a, b, mu0, at, deriv_rows=len(a)), maxlen=1).pop()  # row n only
         near, far = np.where(s > 0.0, gamma, alpha), np.where(s > 0.0, alpha, gamma)
         amplitude = (near + 0.5) / (2.0 * np.tan(t / 2.0)) - (far + 0.5) * np.tan(t / 2.0) / 2.0
         step = p / (s * np.sin(t) * dp - p * amplitude)

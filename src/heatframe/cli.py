@@ -35,7 +35,6 @@ from .reporting import VerificationReport, aggregate, compare_stability, gate, t
 
 GAUSS_T_GRID = (0.05, 0.1, 0.2, 0.5, 1.0)
 EIGEN_T_GRID = (0.1, 0.5)
-POINCARE_DEGREE = 10
 YOUNG_EXPONENTS = ((1.0, 1.0), (1.0, 2.0), (2.0, 2.0), (1.0, math.inf), (2.0, math.inf))
 SCHUR_EXPONENTS = ((2.0, 2.0, 1.0), (1.0, 2.0, 2.0))
 LP_EXPONENTS = (1.0, 2.0, 4.0, math.inf)
@@ -110,7 +109,7 @@ def _build(config: RunConfig, *, doubled: bool = False) -> jacobi.SpectralBasis:
     The refinement serves the Gaussian and Hoelder fits, which read the rows
     ``heat.factored_kernel`` keeps at the smallest fit time (those whose
     decay exp(-beta_k t) has not underflowed to 0), and the Poincare fit,
-    which reads rows 0..POINCARE_DEGREE.  It stores only those rows.
+    which reads rows 0..jacobi.POINCARE_DEGREE.  It stores only those rows.
     """
     scale = 2 if doubled else 1
     nodes = scale * config.n_nodes
@@ -120,7 +119,7 @@ def _build(config: RunConfig, *, doubled: bool = False) -> jacobi.SpectralBasis:
     stored = None
     if doubled:
         live = int(np.count_nonzero(np.exp(-jacobi.eigenvalues(params, degree) * min(GAUSS_T_GRID))))
-        stored = min(degree + 1, max(POINCARE_DEGREE + 1, live))
+        stored = min(degree + 1, max(jacobi.POINCARE_DEGREE + 1, live))
     return jacobi.build_basis(space, params, degree, stored_rows=stored)
 
 
@@ -232,21 +231,11 @@ def run_verify(config: RunConfig) -> int:
     balls = list(zip(ball_centers, ball_radii))
     weight = jacobi.JacobiParams(config.gamma, config.alpha)
     poincare_rng = np.random.default_rng(config.seed + 1)
-    poincare_base = jacobi.verify_poincare(
-        basis, weight, balls, poincare_rng, max_degree=min(POINCARE_DEGREE, basis.degree)
-    )
-    reports.extend(poincare_base)
-    poincare_fine = jacobi.verify_poincare(
-        basis_fine,
-        weight,
-        balls,
-        np.random.default_rng(config.seed + 1),
-        max_degree=min(POINCARE_DEGREE, basis_fine.degree),
-    )
+    poincare_base = jacobi.verify_poincare(basis, weight, balls, poincare_rng)
+    reports.append(poincare_base)
+    poincare_fine = jacobi.verify_poincare(basis_fine, weight, balls, np.random.default_rng(config.seed + 1))
     reports.append(
-        compare_stability(
-            "poincare.stability", poincare_base[0].context, poincare_fine[0].context, ("K_fit",)
-        )
+        compare_stability("poincare.stability", poincare_base.context, poincare_fine.context, ("K_fit",))
     )
 
     # band decomposition with a frame-ratio refinement comparison
@@ -351,18 +340,24 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in specs.items():
         p = sub.add_parser(name, help=help_text)
         p._negative_number_matcher = _NEGATIVE_NUMBER
-        p.add_argument("--gamma", type=float, default=0.0, help="weight exponent at x = 1")
-        p.add_argument("--alpha", type=float, default=0.0, help="weight exponent at x = -1")
-        p.add_argument("--nodes", type=int, default=64, dest="n_nodes", help="quadrature size")
-        p.add_argument("--degree", type=int, default=40, help="spectral basis degree")
-        p.add_argument("--t", type=float, default=0.5, help="heat kernel time")
-        p.add_argument("--delta", type=float, default=0.2, help="net / envelope scale")
-        p.add_argument("--sigma", type=float, default=None, dest="sigma_exp", help="envelope decay exponent (default 2k+1)")
-        p.add_argument("--k-override", type=int, default=None, help="force the doubling exponent k")
-        p.add_argument("--seed", type=int, default=0, help="sampling seed")
-        p.add_argument("--out", type=str, default=None, help="output path")
+        p.add_argument("--gamma", type=float, default=RunConfig.gamma, help="weight exponent at x = 1")
+        p.add_argument("--alpha", type=float, default=RunConfig.alpha, help="weight exponent at x = -1")
+        p.add_argument("--nodes", type=int, default=RunConfig.n_nodes, dest="n_nodes", help="quadrature size")
+        p.add_argument("--degree", type=int, default=RunConfig.degree, help="spectral basis degree")
+        p.add_argument("--t", type=float, default=RunConfig.t, help="heat kernel time")
+        p.add_argument("--delta", type=float, default=RunConfig.delta, help="net / envelope scale")
+        p.add_argument(
+            "--sigma", type=float, default=RunConfig.sigma_exp, dest="sigma_exp",
+            help="envelope decay exponent (default 2k+1)",
+        )
+        p.add_argument("--k-override", type=int, default=RunConfig.k_override, help="force the doubling exponent k")
+        p.add_argument("--seed", type=int, default=RunConfig.seed, help="sampling seed")
+        p.add_argument("--out", type=str, default=RunConfig.out, help="output path")
         if name == "decompose":
-            p.add_argument("--basis-index", type=int, default=None, help="decompose basis row i instead of a random draw")
+            p.add_argument(
+                "--basis-index", type=int, default=RunConfig.basis_index,
+                help="decompose basis row i instead of a random draw",
+            )
     return parser
 
 

@@ -31,6 +31,7 @@ from .reporting import VerificationReport, make_report
 _ORTHO_TOL = 1e-10
 _ROW_MATCH_TOL = 1e-8  # recurrence rows against the stored rows, relative to their largest entry
 POINCARE_FUNCTIONS = 20  # random polynomials per ball in the Poincare fit
+POINCARE_DEGREE = 10  # their degree, capped at the basis degree
 _BLOCK_BYTES = 8 * 2**20  # one node block of the recurrence: every row at its nodes
 _PANEL_ROWS = 256  # Gram rows one block's product updates at a time
 
@@ -202,20 +203,17 @@ def verify_poincare(
     params: JacobiParams,
     balls: Sequence[tuple[float, float]],
     rng: np.random.Generator,
-    *,
-    max_degree: int = 10,
-    K_candidate: float | None = None,
-) -> list[VerificationReport]:
+) -> VerificationReport:
     """Fit the smallest K with  int_B |f - f_B|^2 <= K r^2 int_B dGamma(f, f)
-    over POINCARE_FUNCTIONS random polynomials of degree max_degree.
+    over POINCARE_FUNCTIONS random polynomials of degree
+    min(POINCARE_DEGREE, basis degree).
 
     Gamma here is (1 - x^2) f'^2, with f' summed from the drawn coefficients
-    over P_0'..P_max_degree' from the recurrence of ``params`` (ContractError
+    over the derivative rows from the recurrence of ``params`` (ContractError
     if its rows are not the basis rows), so the fit does not feed on the
     spectral identity it is meant to probe.  Balls need radii in (0, 1];
     pairs where both sides vanish are skipped.  The fit passes when K stays
-    finite; a second report checks K against an explicit candidate when one
-    is given.
+    finite.
     """
     if not balls:
         raise SamplingError("need at least one ball")
@@ -223,9 +221,10 @@ def verify_poincare(
         if not (0.0 < r <= 1.0):
             raise DomainError("ball radii must lie in (0, 1]")
     space = basis.space
-    coeffs = _random_coefficients(basis, POINCARE_FUNCTIONS, max_degree, rng)
-    rows = basis.rows(max_degree + 1)
-    raw, derivs = rows_with_derivatives(params, space.points, max_degree + 1)
+    degree = min(POINCARE_DEGREE, basis.degree)
+    coeffs = _random_coefficients(basis, POINCARE_FUNCTIONS, degree, rng)
+    rows = basis.rows(degree + 1)
+    raw, derivs = rows_with_derivatives(params, space.points, degree + 1)
     if np.abs(raw - rows).max() > _ROW_MATCH_TOL * np.abs(rows).max():
         raise ContractError("the basis rows are not the orthonormal rows of these weight exponents")
     fs = coeffs @ rows
@@ -254,16 +253,4 @@ def verify_poincare(
             else:
                 K_fit = max(K_fit, lhs / (r * r * energy))
     context = {"K_fit": K_fit, "n_balls": len(balls), "n_functions": POINCARE_FUNCTIONS, "n_pairs": n_pairs}
-    reports = [
-        make_report(
-            "poincare.fit",
-            0.0 if math.isfinite(K_fit) else 1.0,
-            0.0,
-            context=context,
-        )
-    ]
-    if K_candidate is not None:
-        reports.append(
-            make_report("poincare.bound", K_fit, float(K_candidate), context=context)
-        )
-    return reports
+    return make_report("poincare.fit", 0.0 if math.isfinite(K_fit) else 1.0, 0.0, context=context)

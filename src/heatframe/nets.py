@@ -139,7 +139,7 @@ def verify_net_sums(
     net: Net,
     s: int,
     params: EnvelopeParams,
-    s2: int | None = None,
+    s2: int,
 ) -> list[VerificationReport]:
     """Check the five center sums against their printed constants.
 
@@ -161,13 +161,11 @@ def verify_net_sums(
           <= 2^(sigma_exp+2k+3) (1 + d(s, s2)/delta)^-sigma_exp.
 
     The two product sums are skipped when sigma_exp < 2k+1, their stated
-    range.  s2 defaults to s.
+    range.
     """
     delta_star, sigma_exp, k = params.delta, params.sigma_exp, params.k
     if delta_star < net.delta - _SEP_TOL:
         raise DomainError("delta_star must be at least the net scale")
-    if s2 is None:
-        s2 = s
     delta = net.delta
     masses = cell_masses(space, net)
     d_s = space.node_distances(s, net.centers)

@@ -36,19 +36,13 @@ from .reporting import VerificationReport, make_report
 
 
 @dataclass(frozen=True)
-class DominationCertificate:
-    """Witness that |H| <= a_prime * E holds at every node pair."""
-
-    a_prime: float
-    params: EnvelopeParams
-
-
-@dataclass(frozen=True)
 class KernelOperator:
-    """Nodal kernel with an optional envelope domination certificate."""
+    """Nodal kernel H with its tight domination constant: |H| <= a_prime * E
+    at every node pair, for the envelope E of ``params``."""
 
     table: np.ndarray
-    domination: DominationCertificate | None = None
+    a_prime: float
+    params: EnvelopeParams
 
 
 BAND_TOL = 1e-10  # Parseval and reconstruction defects, relative to max(1, size of f)
@@ -58,17 +52,11 @@ BAND_TOL = 1e-10  # Parseval and reconstruction defects, relative to max(1, size
 _BLOCK_ENTRIES = 2**17
 
 
-def dominated_operator(
-    space: MetricMeasureSpace,
-    table: np.ndarray,
-    params: EnvelopeParams,
-    a_prime: float | None = None,
-) -> KernelOperator:
-    """Attach a domination certificate, fitted tight when a_prime is omitted.
+def dominated_operator(space: MetricMeasureSpace, table: np.ndarray, params: EnvelopeParams) -> KernelOperator:
+    """The kernel with a_prime = max |H| / E over every node pair.
 
-    With an explicit a_prime the pointwise inequality is checked on every
-    node pair and a violation is a contract error, so a certificate can
-    never overstate the localization of its kernel.
+    Where (1 + d/delta)^-sigma_exp underflows and H does not vanish, a_prime
+    is infinite: a PreconditionError, since no mapping bound follows.
     """
     table = np.asarray(table, dtype=float)
     if table.shape != (space.n, space.n):
@@ -76,17 +64,17 @@ def dominated_operator(
     nodes = np.arange(space.n)
     rows = max(1, _BLOCK_ENTRIES // space.n)
     # per-entry arithmetic of the whole-table form, so the max is bitwise the same
-    needed = float(np.max([
-        (np.abs(table[start:start + rows]) / envelope(space, params, nodes[start:start + rows, None], nodes)).max()
-        for start in range(0, space.n, rows)
-    ]))
-    if a_prime is None:
-        a_prime = needed
-    elif needed > a_prime * (1.0 + 1e-12):
-        raise ContractError(
-            f"domination fails: needs a_prime >= {needed:.6g}, certificate says {a_prime:.6g}"
+    with np.errstate(divide="ignore", over="ignore"):
+        a_prime = float(np.max([
+            (np.abs(table[start:start + rows]) / envelope(space, params, nodes[start:start + rows, None], nodes)).max()
+            for start in range(0, space.n, rows)
+        ]))
+    if math.isinf(a_prime):
+        raise PreconditionError(
+            f"envelope (1 + d/delta)^-sigma underflows at sigma = {params.sigma_exp:g} where the kernel is nonzero, "
+            f"so a' = max |H|/E is infinite; the mapping bound is vacuous"
         )
-    return KernelOperator(table=table, domination=DominationCertificate(float(a_prime), params))
+    return KernelOperator(table=table, a_prime=a_prime, params=params)
 
 
 def apply_operator(space: MetricMeasureSpace, op: KernelOperator, f: np.ndarray) -> np.ndarray:
@@ -109,6 +97,22 @@ def _exponent_inverse(p: float) -> float:
     return 0.0 if math.isinf(p) else 1.0 / p
 
 
+def _worst_ratio(
+    space: MetricMeasureSpace, op: KernelOperator, p: float, q: float, trials: np.ndarray
+) -> tuple[float, int]:
+    """Largest ||H f||_q / ||f||_p over the nonzero trial rows, and the row count."""
+    trials = np.atleast_2d(np.asarray(trials, dtype=float))
+    if trials.shape[1] != space.n:
+        raise ContractError("trial functions must align with the space")
+    worst = 0.0
+    for f in trials:
+        denom = lp_norm(space.weights, f, p)
+        if denom == 0.0:
+            continue
+        worst = max(worst, lp_norm(space.weights, apply_operator(space, op, f), q) / denom)
+    return worst, int(trials.shape[0])
+
+
 def verify_young(
     space: MetricMeasureSpace,
     op: KernelOperator,
@@ -117,19 +121,16 @@ def verify_young(
     q: float,
     trials: np.ndarray,
 ) -> VerificationReport:
-    """Check the mapping bound carried by the domination certificate.
+    """Check the mapping bound carried by the operator's domination constant.
 
-    Requires q >= p, a certificate with sigma_exp >= 2k + 1, and a scale
+    Requires q >= p, an envelope with sigma_exp >= 2k + 1, and a scale
     delta <= 1 (the volume floor only holds below unit radius).  The report
     compares the worst measured ratio ||H f||_q / ||f||_p over the trial
     functions against the closed-form constant.
     """
-    if op.domination is None:
-        raise PreconditionError("mapping bound needs a domination certificate")
-    cert = op.domination
-    k = cert.params.k
-    delta = cert.params.delta
-    if cert.params.sigma_exp < 2 * k + 1:
+    k = op.params.k
+    delta = op.params.delta
+    if op.params.sigma_exp < 2 * k + 1:
         raise PreconditionError("mapping bound needs sigma_exp >= 2k + 1")
     if delta > 1.0:
         raise PreconditionError("mapping bound needs delta <= 1")
@@ -143,25 +144,16 @@ def verify_young(
     # overflow; compare the log of each factor and of the product first.
     log_power = k * (inv_r - 1.0) * (math.log(profile.a_noncollapse) - k * _LOG2)
     log_two_power = (2 * k + 1) * _LOG2
-    log_a_prime = math.log(cert.a_prime) if cert.a_prime > 0.0 else -math.inf
+    log_a_prime = math.log(op.a_prime) if op.a_prime > 0.0 else -math.inf
     log_a_const = log_a_prime + log_power + log_two_power
     if max(log_power, log_two_power, log_a_const) >= _LOG_FLOAT_MAX:
         raise PreconditionError(
             f"Young constant a' a_hat^(k(1/r - 1)) 2^(2k+1) overflows (log {log_a_const:.6g} at k = {k}); "
             f"the mapping bound is vacuous"
         )
-    a_const = cert.a_prime * a_hat ** (k * (inv_r - 1.0)) * 2.0 ** (2 * k + 1)
+    a_const = op.a_prime * a_hat ** (k * (inv_r - 1.0)) * 2.0 ** (2 * k + 1)
     rhs = a_const * delta ** (k * (inv_q - inv_p))
-    trials = np.atleast_2d(np.asarray(trials, dtype=float))
-    if trials.shape[1] != space.n:
-        raise ContractError("trial functions must align with the space")
-    worst = 0.0
-    for f in trials:
-        denom = lp_norm(space.weights, f, p)
-        if denom == 0.0:
-            continue
-        image = apply_operator(space, op, f)
-        worst = max(worst, lp_norm(space.weights, image, q) / denom)
+    worst, n_trials = _worst_ratio(space, op, p, q, trials)
     return make_report(
         "young",
         worst,
@@ -172,11 +164,11 @@ def verify_young(
             "q": q,
             "r": math.inf if inv_r == 0.0 else 1.0 / inv_r,
             "delta": delta,
-            "sigma_exp": cert.params.sigma_exp,
+            "sigma_exp": op.params.sigma_exp,
             "k": k,
-            "a_prime": cert.a_prime,
+            "a_prime": op.a_prime,
             "a_hat": a_hat,
-            "n_trials": int(trials.shape[0]),
+            "n_trials": n_trials,
         },
     )
 
@@ -207,21 +199,13 @@ def verify_schur(
         first_slot = (w @ absH ** r) ** (1.0 / r)
         second_slot = (absH ** r @ w) ** (1.0 / r)
     C = float(max(first_slot.max(), second_slot.max()))
-    trials = np.atleast_2d(np.asarray(trials, dtype=float))
-    if trials.shape[1] != space.n:
-        raise ContractError("trial functions must align with the space")
-    worst = 0.0
-    for f in trials:
-        denom = lp_norm(w, f, p)
-        if denom == 0.0:
-            continue
-        worst = max(worst, lp_norm(w, apply_operator(space, op, f), q) / denom)
+    worst, n_trials = _worst_ratio(space, op, p, q, trials)
     return make_report(
         "schur",
         worst,
         C,
         paper_constant=C,
-        context={"p": p, "q": q, "r": r, "n_trials": int(trials.shape[0])},
+        context={"p": p, "q": q, "r": r, "n_trials": n_trials},
     )
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 from .errors import DomainError
@@ -49,7 +49,6 @@ CHECK_IDS = frozenset(
         "young",
         "schur",
         "poincare.fit",
-        "poincare.bound",
         "poincare.stability",
         "band.parseval",
         "band.reconstruction",
@@ -68,7 +67,6 @@ FIT_CHECK_IDS = frozenset(
         "holder.fit",
         "holder.stability",
         "poincare.fit",
-        "poincare.bound",
         "poincare.stability",
         "frame.ratio",
         "frame.stability",
@@ -107,7 +105,7 @@ class VerificationReport:
     paper_constant: float | None
     margin: float
     passed: bool
-    context: dict[str, Any] = field(default_factory=dict)
+    context: dict[str, Any]
 
     def __post_init__(self) -> None:
         if self.check_id not in CHECK_IDS:
@@ -116,12 +114,12 @@ class VerificationReport:
     def to_dict(self) -> dict[str, Any]:
         return {
             "check_id": self.check_id,
-            "lhs": _jsonable(float(self.lhs)),
-            "rhs": _jsonable(float(self.rhs)),
-            "paper_constant": None if self.paper_constant is None else _jsonable(float(self.paper_constant)),
-            "margin": _jsonable(float(self.margin)),
+            "lhs": float(self.lhs),
+            "rhs": float(self.rhs),
+            "paper_constant": None if self.paper_constant is None else float(self.paper_constant),
+            "margin": float(self.margin),
             "passed": bool(self.passed),
-            "context": _jsonable(dict(self.context)),
+            "context": dict(self.context),
         }
 
 
@@ -132,7 +130,7 @@ def make_report(
     *,
     lower: bool = False,
     paper_constant: float | None = None,
-    context: Mapping[str, Any] | None = None,
+    context: Mapping[str, Any],
 ) -> VerificationReport:
     """Build a report; `lower=True` means the check asserts lhs >= rhs."""
     lhs = float(lhs)
@@ -146,7 +144,7 @@ def make_report(
         paper_constant=paper_constant,
         margin=margin,
         passed=passed,
-        context=dict(context or {}),
+        context=dict(context),
     )
 
 
@@ -169,8 +167,8 @@ def aggregate(reports: Iterable[VerificationReport]) -> list[dict[str, Any]]:
                 "check_id": check_id,
                 "count": len(group),
                 "pass_rate": sum(1 for r in group if r.passed) / len(group),
-                "worst_margin": _jsonable(float(worst.margin)),
-                "worst_context": _jsonable(dict(worst.context)),
+                "worst_margin": float(worst.margin),
+                "worst_context": dict(worst.context),
             }
         )
     return rows

@@ -165,7 +165,7 @@ def test_criterion_05_paper_constant_inequality_suite(legendre_space):
     net = build_maximal_net(space, delta)
     for _ in range(50):
         s, s2 = rng.integers(0, space.n, size=2)
-        reports += verify_net_sums(space, net, s, EnvelopeParams(2 * delta, sigma, k), s2=s2)
+        reports += verify_net_sums(space, net, s, EnvelopeParams(2 * delta, sigma, k), s2)
 
     by_id: dict[str, list] = {}
     for r in reports:
@@ -175,7 +175,7 @@ def test_criterion_05_paper_constant_inequality_suite(legendre_space):
     enough = all(c >= 50 for c in counts.values())
     constants_exact = (
         EnvelopeParams(delta=1.0, sigma_exp=2.0, k=1).a1 == 4.0
-        and verify_net_sums(space, net, 34, EnvelopeParams(2 * delta, 3.0, 1))[1].paper_constant
+        and verify_net_sums(space, net, 34, EnvelopeParams(2 * delta, 3.0, 1), 34)[1].paper_constant
         == 32.0
     )
     elapsed = time.perf_counter() - start

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from heatframe import DomainError, load_net
 from heatframe import cli
 from heatframe.cli import RunConfig, build_parser, main
+from heatframe.reporting import CHECK_IDS
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -53,6 +54,9 @@ def test_parser_round_trip():
     config = RunConfig(**vars(args))
     assert config.command == "verify"
     assert config.gamma == 0.5 and config.alpha == -0.3 and config.seed == 9
+    # every flag left out takes the RunConfig default
+    for command in ("verify", "kernel", "net", "decompose"):
+        assert RunConfig(**vars(build_parser().parse_args([command]))) == RunConfig(command=command)
 
 
 def test_verify_document_schema(tmp_path):
@@ -126,6 +130,29 @@ def test_vacuous_young_constant_exits_two(capsys):
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and "Young constant" in errors[0]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, sigma",
+    [(["verify", "--sigma", "300"], "300"), (["verify", "--nodes", "30", "--degree", "29", "--k-override", "150"], "301")],
+)
+def test_envelope_underflow_ends_in_one_error_line_naming_it(argv, sigma, tmp_path, capsys):
+    # (1 + d/delta)^-sigma is 0 at the far node pairs, where the heat kernel is not
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == [
+        f"error: envelope (1 + d/delta)^-sigma underflows at sigma = {sigma} where the kernel is nonzero, "
+        "so a' = max |H|/E is infinite; the mapping bound is vacuous"
+    ]
+    assert "Traceback" not in err
+
+
+def test_default_verdict_emits_every_registered_check(tmp_path):
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--out", str(out)]) == 0
+    emitted = {row["check_id"] for row in json.loads(out.read_text())["summary"]}
+    assert emitted == CHECK_IDS
 
 
 @pytest.mark.parametrize(

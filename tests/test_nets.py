@@ -179,7 +179,7 @@ def test_net_of_another_space_rejected(net):
     with pytest.raises(ContractError):
         cell_masses(SPACE, net)
     with pytest.raises(ContractError):
-        verify_net_sums(SPACE, net, 3, EnvelopeParams(delta=0.4, sigma_exp=5.0, k=2))
+        verify_net_sums(SPACE, net, 3, EnvelopeParams(delta=0.4, sigma_exp=5.0, k=2), 3)
     with pytest.raises(ContractError):
         band_decompose(basis, net, basis.values[1])
 
@@ -192,7 +192,7 @@ def test_net_sums_pass_with_printed_constants():
     others = rng.integers(0, SPACE.n, size=10)
     all_ids = set()
     for s, s2 in zip(probes, others):
-        reports = verify_net_sums(SPACE, net, s, EnvelopeParams(delta=2 * delta, sigma_exp=5.0, k=2), s2=s2)
+        reports = verify_net_sums(SPACE, net, s, EnvelopeParams(delta=2 * delta, sigma_exp=5.0, k=2), s2)
         assert all(r.passed for r in reports)
         all_ids.update(r.check_id for r in reports)
     assert all_ids == {
@@ -206,7 +206,7 @@ def test_net_sums_pass_with_printed_constants():
 
 def test_net_sums_low_exponent_skips_product_parts():
     net = build_maximal_net(SPACE, 0.2)
-    reports = verify_net_sums(SPACE, net, 38, EnvelopeParams(delta=0.4, sigma_exp=3.0, k=2))
+    reports = verify_net_sums(SPACE, net, 38, EnvelopeParams(delta=0.4, sigma_exp=3.0, k=2), 38)
     ids = {r.check_id for r in reports}
     assert "net.sum.envelope_product" not in ids
     assert "net.sum.decay_product" not in ids
@@ -216,7 +216,7 @@ def test_net_sums_low_exponent_skips_product_parts():
 def test_net_sum_constant_is_exact_at_unit_exponent():
     # Rounded-up exponent 1: the pure center sum carries constant 2^(3k+2) = 32.
     net = build_maximal_net(SPACE, 0.2)
-    reports = verify_net_sums(SPACE, net, 34, EnvelopeParams(delta=0.4, sigma_exp=3.0, k=1))
+    reports = verify_net_sums(SPACE, net, 34, EnvelopeParams(delta=0.4, sigma_exp=3.0, k=1), 34)
     by_id = {r.check_id: r for r in reports}
     assert by_id["net.sum.center_decay"].paper_constant == 32.0
     assert by_id["net.sum.cell_decay"].paper_constant == 16.0

@@ -12,7 +12,6 @@ from heatframe import (
     DomainError,
     EnvelopeParams,
     JacobiParams,
-    KernelOperator,
     PreconditionError,
     apply_operator,
     band_decompose,
@@ -33,6 +32,9 @@ from heatframe import (
 )
 from heatframe.jacobi import multiplier_table
 
+# an envelope at the fixture scale that dominates every kernel built here
+PARAMS = EnvelopeParams(delta=0.2, sigma_exp=5.0, k=2)
+
 
 def test_lp_norm_hand_values():
     w = np.array([1.0, 2.0, 4.0])
@@ -47,7 +49,8 @@ def test_lp_norm_hand_values():
 def test_low_pass_projector_on_square(legendre_space, legendre_basis):
     # Projecting x^2 onto span{1, x} leaves the mean: <x^2, 1>/<1, 1> = 1/3.
     low_pass = (legendre_basis.eigenvalues <= 2.0).astype(float)
-    projector = KernelOperator(table=multiplier_table(legendre_basis.rows(), low_pass))
+    table = multiplier_table(legendre_basis.rows(), low_pass)
+    projector = dominated_operator(legendre_space, table, PARAMS)
     projected = apply_operator(
         legendre_space, projector, legendre_space.points**2
     )
@@ -66,17 +69,15 @@ def test_heat_kernel_matches_the_legendre_series(legendre_space, legendre_basis)
     assert np.abs(series - kernel).max() <= 1e-13 * np.abs(kernel).max()
 
 
-def test_domination_certificate_fit_and_rejection(legendre_space, legendre_basis):
-    delta = 0.2
-    params = EnvelopeParams(delta=delta, sigma_exp=5.0, k=2)
-    table = heat_kernel(legendre_basis, delta**2)
-    op = dominated_operator(legendre_space, table, params)
-    assert op.domination is not None
-    assert op.domination.a_prime > 0.0
+def test_domination_fit_and_envelope_underflow(legendre_space, legendre_basis):
+    table = heat_kernel(legendre_basis, PARAMS.delta**2)
+    op = dominated_operator(legendre_space, table, PARAMS)
+    assert 0.0 < op.a_prime < math.inf
+    # (1 + pi/0.2)^-300 underflows to 0 at the far pairs, where H does not vanish
+    with pytest.raises(PreconditionError, match=r"envelope .* underflows at sigma = 300.*vacuous"):
+        dominated_operator(legendre_space, table, EnvelopeParams(delta=PARAMS.delta, sigma_exp=300.0, k=2))
     with pytest.raises(ContractError):
-        dominated_operator(
-            legendre_space, table, params, a_prime=op.domination.a_prime / 2.0
-        )
+        dominated_operator(legendre_space, table[:10], PARAMS)
 
 
 def _doubling(space):
@@ -97,7 +98,7 @@ def test_domination_max_is_the_whole_table_max_within_one_table_of_memory():
         tracemalloc.stop()
     nodes = np.arange(space.n)
     whole = np.abs(table) / envelope(space, params, nodes[:, None], nodes[None, :])
-    assert op.domination.a_prime == float(whole.max())
+    assert op.a_prime == float(whole.max())
     # the whole-table form held four tables at once: a 32 MB peak
     assert peak <= table.nbytes
 
@@ -115,9 +116,6 @@ def test_young_bound_holds_for_heat_kernel(legendre_space, legendre_basis, rng):
         assert report.passed, (p, q, report.margin)
     with pytest.raises(DomainError):
         verify_young(legendre_space, op, profile, 2.0, 1.0, trials)
-    bare = KernelOperator(op.table)
-    with pytest.raises(PreconditionError):
-        verify_young(legendre_space, bare, profile, 1.0, 2.0, trials)
 
 
 def test_young_requires_wide_envelope_exponent(legendre_space, legendre_basis, rng):
@@ -133,7 +131,7 @@ def test_young_requires_wide_envelope_exponent(legendre_space, legendre_basis, r
 
 
 def test_schur_bound_holds(legendre_space, legendre_basis, rng):
-    op = KernelOperator(heat_kernel(legendre_basis, 0.3))
+    op = dominated_operator(legendre_space, heat_kernel(legendre_basis, 0.3), PARAMS)
     trials = random_polynomials(legendre_basis, 10, 16, rng)
     for p, q, r in ((2.0, 2.0, 1.0), (1.0, 2.0, 2.0)):
         report = verify_schur(legendre_space, op, p, q, r, trials)

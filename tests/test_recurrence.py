@@ -24,7 +24,8 @@ from heatframe.cli import RunConfig
 def evaluate_orthonormal(gamma, alpha, degree, x):
     """(values, derivatives) of p_0..p_degree at x, stacked from the rows the
     recurrence yields one at a time."""
-    rows = list(orthonormal_rows(*recurrence_coefficients(gamma, alpha, degree), np.asarray(x, dtype=float)))
+    coeffs = recurrence_coefficients(gamma, alpha, degree)
+    rows = list(orthonormal_rows(*coeffs, np.asarray(x, dtype=float), deriv_rows=degree + 1))
     return np.array([v for v, _ in rows]), np.array([d for _, d in rows])
 
 
@@ -286,7 +287,7 @@ def test_rule_outside_the_float_range_names_its_parameters():
 def test_derivatives_stop_after_the_requested_rows():
     nodes, _ = gauss_nodes(1.5, -0.5, 40)
     coeffs = recurrence_coefficients(1.5, -0.5, 30)
-    full = list(orthonormal_rows(*coeffs, nodes))
+    full = list(orthonormal_rows(*coeffs, nodes, deriv_rows=31))
     partial = list(orthonormal_rows(*coeffs, nodes, deriv_rows=12))
     for k, ((v, d), (v_part, d_part)) in enumerate(zip(full, partial)):
         assert _same_bits(v_part, v)

@@ -20,6 +20,7 @@ from heatframe import (
 )
 from heatframe import cli
 from heatframe.cli import GAUSS_T_GRID, RunConfig
+from heatframe.jacobi import POINCARE_DEGREE
 
 CONFIG = RunConfig(gamma=1.5, alpha=-0.5, n_nodes=128, degree=102)
 WEIGHT = JacobiParams(CONFIG.gamma, CONFIG.alpha)
@@ -38,7 +39,7 @@ def full(lean):
 def test_refinement_stores_fewer_rows_than_its_degree(lean):
     assert (lean.space.n, lean.degree) == (256, 204)
     live = int(np.count_nonzero(np.exp(-lean.eigenvalues * min(GAUSS_T_GRID))))
-    stored = max(cli.POINCARE_DEGREE + 1, live)
+    stored = max(POINCARE_DEGREE + 1, live)
     assert stored < lean.size
     assert lean.values.shape == (stored, 256)
     assert lean.eigenvalues.shape == (lean.size,)
@@ -69,10 +70,7 @@ def test_fits_on_the_lean_refinement_match_the_full_table(lean, full):
     holder = [verify_holder(b, GAUSS_T_GRID, triples, decay_rate=rate) for b in (lean, full)]
     assert holder[0] == holder[1]
     balls = [(float(c), float(r)) for c, r in zip(rng.uniform(-0.9, 0.9, 12), rng.uniform(0.1, 1.0, 12))]
-    poincare = [
-        verify_poincare(b, WEIGHT, balls, np.random.default_rng(1), max_degree=cli.POINCARE_DEGREE)[0]
-        for b in (lean, full)
-    ]
+    poincare = [verify_poincare(b, WEIGHT, balls, np.random.default_rng(1)) for b in (lean, full)]
     assert poincare[0].passed and poincare[1].passed
     assert poincare[0].context["K_fit"] == pytest.approx(poincare[1].context["K_fit"], rel=1e-12)
 

@@ -21,27 +21,27 @@ from heatframe.reporting import (
 
 
 def test_margin_orientation_and_tolerance():
-    upper = make_report("markov", 0.3, 1.0)
+    upper = make_report("markov", 0.3, 1.0, context={})
     assert upper.margin == 0.7 and upper.passed
-    lower = make_report("growth.floor", 5.0, 2.0, lower=True)
+    lower = make_report("growth.floor", 5.0, 2.0, lower=True, context={})
     assert lower.margin == 3.0 and lower.passed
     # A hair over the bound stays inside the relative floor...
-    assert make_report("markov", 1.0 + 5e-13, 1.0).passed
+    assert make_report("markov", 1.0 + 5e-13, 1.0, context={}).passed
     # ...but a visible overshoot does not.
-    assert not make_report("markov", 1.0 + 5e-12, 1.0).passed
+    assert not make_report("markov", 1.0 + 5e-12, 1.0, context={}).passed
 
 
 def test_unknown_check_id_rejected():
     with pytest.raises(DomainError):
-        make_report("not.a.check", 0.0, 1.0)
+        make_report("not.a.check", 0.0, 1.0, context={})
     assert FIT_CHECK_IDS <= CHECK_IDS
 
 
 def test_aggregate_groups_and_worst_margin():
     reports = [
-        make_report("markov", 0.1, 1.0),
-        make_report("markov", 0.9, 1.0),
-        make_report("young", 2.0, 1.0),
+        make_report("markov", 0.1, 1.0, context={}),
+        make_report("markov", 0.9, 1.0, context={}),
+        make_report("young", 2.0, 1.0, context={}),
     ]
     rows = aggregate(reports)
     assert [row["check_id"] for row in rows] == ["markov", "young"]
@@ -62,16 +62,16 @@ def test_aggregate_groups_and_worst_margin():
     seed=st.integers(0, 2**16),
 )
 def test_aggregate_is_permutation_invariant(values, seed):
-    reports = [make_report(cid, lhs, 1.0) for cid, lhs in values]
+    reports = [make_report(cid, lhs, 1.0, context={}) for cid, lhs in values]
     shuffled = list(reports)
     np.random.default_rng(seed).shuffle(shuffled)
     assert aggregate(reports) == aggregate(shuffled)
 
 
 def test_gate_ignores_fit_checks_only():
-    failing_fit = make_report("gauss.stability", 10.0, 0.2)
-    passing = make_report("markov", 0.0, 1.0)
-    failing_hard = make_report("young", 2.0, 1.0)
+    failing_fit = make_report("gauss.stability", 10.0, 0.2, context={})
+    passing = make_report("markov", 0.0, 1.0, context={})
+    failing_hard = make_report("young", 2.0, 1.0, context={})
     assert not failing_fit.passed
     assert gate([failing_fit, passing])
     assert not gate([passing, failing_hard])
