@@ -8,9 +8,10 @@ floor of -1e-12 * max(1, |rhs|).
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Iterable, Mapping
 
 from .errors import DomainError
@@ -72,27 +73,6 @@ FIT_CHECK_IDS = frozenset(
         "frame.stability",
     }
 )
-
-
-def _jsonable(value: Any) -> Any:
-    """Coerce numpy scalars and non-finite floats into stable JSON values."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (int, str)) or value is None:
-        return value
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return value
-    if hasattr(value, "item"):
-        return _jsonable(value.item())
-    if isinstance(value, Mapping):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return str(value)
 
 
 @dataclass(frozen=True)
@@ -180,8 +160,68 @@ def gate(reports: Iterable[VerificationReport]) -> bool:
 
 
 def to_json(document: Any) -> str:
-    """Deterministic JSON: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(_jsonable(document), sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+    """Deterministic JSON: sorted keys, fixed separators, trailing newline.
+
+    The text is byte for byte that of ``json.dumps(doc, sort_keys=True,
+    indent=2, separators=(",", ": "))``, where keys are passed through
+    ``str``, numpy scalars through ``.item()``, nan and +-inf become the
+    strings "nan", "inf" and "-inf", and any other object its ``str``.
+    """
+    return _text(document, 0) + "\n"
+
+
+_STR_ONLY = frozenset({str})
+
+
+@lru_cache(maxsize=256)
+def _dict_template(keys: tuple[str, ...], depth: int) -> str:
+    """A "%s" slot per value of a dict with these sorted keys at this depth."""
+    inner = "\n" + "  " * (depth + 1)
+    fields = ("," + inner).join(_quote(key).replace("%", "%%") + ": %s" for key in keys)
+    return "{" + inner + fields + "\n" + "  " * depth + "}"
+
+
+def _dict_text(value: Mapping, depth: int) -> str:
+    if not value:
+        return "{}"
+    if set(map(type, value)) != _STR_ONLY:  # json keys are str(key)
+        value = {str(key): item for key, item in value.items()}
+    keys = tuple(sorted(value))
+    return _dict_template(keys, depth) % tuple([_text(value[key], depth + 1) for key in keys])
+
+
+def _list_text(value: list | tuple, depth: int) -> str:
+    if not value:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    items = ("," + inner).join([_text(item, depth + 1) for item in value])
+    return "[" + inner + items + "\n" + "  " * depth + "]"
+
+
+def _text(value: Any, depth: int) -> str:
+    if isinstance(value, float):  # np.float64 too
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return '"nan"' if value != value else '"inf"' if value > 0 else '"-inf"'
+    if type(value) is dict:
+        return _dict_text(value, depth)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return _quote(value)
+    if hasattr(value, "item"):  # other numpy scalars
+        return _text(value.item(), depth)
+    if isinstance(value, Mapping):
+        return _dict_text(value, depth)
+    if isinstance(value, (list, tuple)):
+        return _list_text(value, depth)
+    return _quote(str(value))
 
 
 def compare_stability(

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -132,14 +133,23 @@ def test_vacuous_young_constant_exits_two(capsys):
     assert "Traceback" not in err
 
 
+def _main_recording_runtime_warnings(argv):
+    """Run main; return its exit code and the RuntimeWarnings (numpy's raw notices) it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize(
     "argv, sigma",
     [(["verify", "--sigma", "300"], "300"), (["verify", "--nodes", "30", "--degree", "29", "--k-override", "150"], "301")],
 )
 def test_envelope_underflow_ends_in_one_error_line_naming_it(argv, sigma, tmp_path, capsys):
     # (1 + d/delta)^-sigma is 0 at the far node pairs, where the heat kernel is not
-    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert _main_recording_runtime_warnings([*argv, "--out", str(tmp_path / "out")]) == (2, [])
     err = capsys.readouterr().err
+    assert "RuntimeWarning" not in err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert errors == [
         f"error: envelope (1 + d/delta)^-sigma underflows at sigma = {sigma} where the kernel is nonzero, "
@@ -160,8 +170,13 @@ def test_default_verdict_emits_every_registered_check(tmp_path):
     [(["--sigma", "2000"], "beta^sigma_exp"), (["--k-override", "1000"], "(2/beta)^k"), (["--k-override", "400"], "a2")],
 )
 def test_overflowing_constant_ends_in_one_error_line(extra, constant, capsys):
-    assert main(["verify", "--nodes", "30", "--degree", "29", *extra]) == 2
+    code, runtime_warnings = _main_recording_runtime_warnings(["verify", "--nodes", "30", "--degree", "29", *extra])
+    assert code == 2
+    if constant != "a2":
+        # at k = 400 the lemma pass still takes 0 * inf before a2 is checked
+        assert runtime_warnings == []
     err = capsys.readouterr().err
+    assert "RuntimeWarning" not in err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1
     assert errors[0].startswith(f"error: constant {constant} overflows") and "vacuous" in errors[0]
