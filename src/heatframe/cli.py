@@ -216,7 +216,7 @@ def run_verify(config: RunConfig) -> int:
 
     # mapping bounds for the heat kernel at the matched scale t = delta^2
     kernel_op = operators.dominated_operator(
-        space, heat.heat_kernel(basis, config.delta ** 2), params
+        space, heat.factored_kernel(basis, config.delta ** 2), params
     )
     trials = jacobi.random_polynomials(basis, 20, min(16, basis.degree), rng)
     for p, q in YOUNG_EXPONENTS:

@@ -10,11 +10,12 @@ Gauss quadrature space the discrete expansion makes the defining identities
 (unit mass, the semigroup law, eigenfunction action) hold to roundoff, so
 their verifiers double as integrity checks of the discretization.
 
-Every identity and fit works on the factored view (``factored_kernel``):
-the basis rows and decay factors themselves, from which sampled entries, the
-diagonal, row integrals, the action on basis rows and the semigroup defect
-come without the N x N table.  The dense table (``heat_kernel``) stays for
-callers that consume all of it: the Young/Schur operator and the CSV export.
+Every identity, fit and mapping bound works on the factored view
+(``factored_kernel``): the basis rows and decay factors themselves, from
+which sampled entries, the diagonal, row integrals, the action on basis rows,
+blocks of the table's upper triangle and the semigroup defect come without
+the N x N table.  The dense table (``heat_kernel``) serves only the
+``kernel`` CSV export, which writes all of it.
 
 Two-sided Gaussian envelopes and the space Hoelder exponent are *fitted*
 rather than asserted: the fit reports the constants
@@ -31,7 +32,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -46,6 +47,16 @@ TAIL_TOL = 1e-12  # largest admissible spectral tail exp(-beta_N t)
 MARKOV_TOL = 1e-8  # largest row-integral defect |int h_t(x, y) dy - 1|
 SEMIGROUP_TOL = 1e-7  # largest composition defect, relative to max h_{t+s}
 EIGEN_ACTION_TOL = 1e-9  # largest |R_t P_i - exp(-beta_i t) P_i| at a node
+
+# Entries per row block of an N-column table: a few 1 MiB temporaries
+# instead of N x N ones.
+_BLOCK_ENTRIES = 2**17
+
+
+def _row_slices(n: int) -> list[slice]:
+    """Consecutive row ranges of an n-column table, _BLOCK_ENTRIES entries each."""
+    rows = max(1, _BLOCK_ENTRIES // n)
+    return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
 
 
 def _decay(basis: SpectralBasis, t: float) -> np.ndarray:
@@ -77,11 +88,14 @@ class FactoredKernel:
 
     Basis rows past the last nonzero decay factor (exp(-beta_k t) underflows
     to 0) add exact zeros to every sum, so they are dropped; a basis that
-    stores fewer rows than are left raises ContractError.
+    stores fewer rows than are left raises ContractError.  ``tail`` is
+    exp(-beta_N t) at the basis degree N, whether or not its row is kept: the
+    per-term bound on the spectral tail the expansion truncates.
     """
 
     rows: np.ndarray
     decay: np.ndarray
+    tail: float
 
     def entries(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """h_t(x_i, x_j) for aligned index arrays.
@@ -102,12 +116,31 @@ class FactoredKernel:
         here."""
         return self.decay @ (self.rows * self.rows)
 
+    def upper_row_blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
+        """(rows, block) over consecutive row ranges of the N x N table; a
+        block holds those rows from column rows.start on, so the blocks tile
+        the upper triangle and the diagonal.
+
+        The table is symmetric, so the entries left out are the transposes of
+        ones given.  A block is 0.5 (V_b^T D V_c + (D V_b)^T V_c) for the
+        columns c: the entries of ``heat_kernel``'s symmetrised table with
+        the same products summed in the same order, so they match it bitwise.
+        Each block is a fresh array the caller may overwrite.
+        """
+        scaled = self.decay[:, None] * self.rows
+        for rows in _row_slices(self.rows.shape[1]):
+            cols = slice(rows.start, None)
+            block = self.rows[:, rows].T @ scaled[:, cols]
+            block += scaled[:, rows].T @ self.rows[:, cols]
+            block *= 0.5
+            yield rows, block
+
 
 def factored_kernel(basis: SpectralBasis, t: float) -> FactoredKernel:
     """The factored view of h_t, with the time and tail checks of heat_kernel."""
     decay = _decay(basis, t)
     keep = int(np.flatnonzero(decay).max(initial=-1)) + 1
-    return FactoredKernel(rows=basis.rows(keep), decay=decay[:keep])
+    return FactoredKernel(rows=basis.rows(keep), decay=decay[:keep], tail=float(decay[-1]))
 
 
 def verify_markov(basis: SpectralBasis, t: float) -> VerificationReport:
@@ -137,8 +170,9 @@ def verify_semigroup(
     In the basis the law reads D_t G D_s = D_{t+s}, where D are the decay
     factors and G = (V w) V^T is the Gram matrix of the basis rows under this
     space's weights, so V^T (D_t G D_s - D_{t+s}) V is the nodal table of the
-    composition defect.  G is formed here from ``space``, so a basis that does
-    not match its space fails the check.
+    composition defect, whose largest entry is taken over row blocks.  G is
+    formed here from ``space``, so a basis that does not match its space
+    fails the check.
     """
     kt = factored_kernel(basis, t)
     ks = factored_kernel(basis, s)
@@ -147,9 +181,10 @@ def verify_semigroup(
     coeffs = kt.decay[:, None] * gram * ks.decay
     diag = np.arange(kts.decay.size)
     coeffs[diag, diag] -= kts.decay
-    defect_table = kt.rows.T @ (coeffs @ ks.rows)
+    right = coeffs @ ks.rows
+    largest = max(float(np.abs(kt.rows[:, blk].T @ right).max()) for blk in _row_slices(kt.rows.shape[1]))
     scale = float(kts.diagonal().max())
-    defect = float(np.abs(defect_table).max()) / max(scale, 1e-300)
+    defect = largest / max(scale, 1e-300)
     return make_report(
         "semigroup",
         defect,

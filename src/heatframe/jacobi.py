@@ -94,13 +94,15 @@ def build_basis(
     basis degree may not exceed n - 1; past that the discrete Gram matrix
     stops being the identity and every spectral operation silently degrades.
 
-    The recurrence runs over blocks of nodes.  Each block adds its share
-    S_b S_b^T, with S = V sqrt(w), to the Gram matrix of every row, so the
-    check covers all degree + 1 rows while only ``stored_rows`` of them (all
-    by default) are kept.  The share goes in by panels of rows on and above
-    the diagonal: the matrix is symmetric, the product costs what a
-    symmetric rank-k update costs, and no temporary of the matrix's size is
-    made.  Entries below the diagonal panels stay 0.
+    The recurrence runs over blocks of nodes, into one reused block buffer.
+    Each block adds its share S_b S_b^T, with S = V sqrt(w), to the Gram
+    matrix of every row, so the check covers all degree + 1 rows while only
+    ``stored_rows`` of them (all by default) are kept.  The matrix is
+    symmetric, so only its upper part is formed, packed as panels: panel p
+    holds rows [top, top + _PANEL_ROWS) from column top on.  The products
+    cost what a symmetric rank-k update costs, and the panels together hold
+    about half the matrix.  Each panel is normalised and reduced to its
+    largest defect on its own.
     """
     if degree < 0:
         raise DomainError("degree must be nonnegative")
@@ -114,27 +116,31 @@ def build_basis(
         raise DomainError("stored rows must lie in [1, degree + 1]")
     a, b, mu0 = recurrence_coefficients(params.gamma, params.alpha, degree)
     values = np.empty((keep, space.n))
-    gram = np.zeros((size, size))
+    tops = range(0, size, _PANEL_ROWS)
+    panels = [np.zeros((min(_PANEL_ROWS, size - top), size - top)) for top in tops]
     root_w = np.sqrt(space.weights)
-    width = max(1, _BLOCK_BYTES // (8 * size))
+    width = min(space.n, max(1, _BLOCK_BYTES // (8 * size)))
+    buffer = np.empty((size, width))
     for lo in range(0, space.n, width):
         nodes = slice(lo, min(lo + width, space.n))
-        block = np.empty((size, nodes.stop - lo))
+        block = buffer[:, : nodes.stop - lo]
         for k, (v, _) in enumerate(orthonormal_rows(a, b, mu0, space.points[nodes], deriv_rows=0)):
             block[k] = v
         values[:, nodes] = block[:keep]
         block *= root_w[nodes]
-        for top in range(0, size, _PANEL_ROWS):
-            panel = slice(top, top + _PANEL_ROWS)
-            gram[panel, top:] += block[panel] @ block[top:].T
+        for top, panel in zip(tops, panels):
+            panel += block[top : top + _PANEL_ROWS] @ block[top:].T
     norms = np.sqrt((values * values) @ space.weights)
     values /= norms[:, None]
     # the Gram matrix of the normalized rows, from the raw one
-    scale = 1.0 / np.sqrt(np.diag(gram))
-    gram *= scale[:, None]
-    gram *= scale
-    gram[np.diag_indices_from(gram)] -= 1.0
-    defect = float(np.abs(gram, out=gram).max())
+    scale = 1.0 / np.sqrt(np.concatenate([np.diagonal(panel) for panel in panels]))
+    defect = 0.0
+    for top, panel in zip(tops, panels):
+        diag = np.arange(panel.shape[0])
+        panel *= scale[top : top + diag.size, None]
+        panel *= scale[top:]
+        panel[diag, diag] -= 1.0
+        defect = max(defect, float(np.abs(panel, out=panel).max()))
     if defect > _ORTHO_TOL:
         raise ExactnessError(f"discrete Gram defect {defect:.2e}; space does not match the weight")
     return SpectralBasis(space=space, values=values, eigenvalues=eigenvalues(params, degree))

@@ -1,7 +1,8 @@
 """Kernel operators, mapping bounds, and dyadic band decompositions.
 
-An operator is a nodal kernel table H(x_i, x_j) acting by quadrature in the
-first slot.  When |H| is dominated pointwise by a' E for the localization
+An operator is a heat kernel H(x_i, x_j) in its factored form, acting by
+quadrature in the first slot: H f = V^T D V (w f), never through the N x N
+table.  When |H| is dominated pointwise by a' E for the localization
 envelope E at scale delta, the operator inherits the full L^p -> L^q mapping
 scale: with 1/p - 1/q = 1 - 1/r and the volume floor constant a_hat,
 
@@ -9,7 +10,10 @@ scale: with 1/p - 1/q = 1 - 1/r and the volume floor constant a_hat,
 
 A Schur test is provided alongside as the measured counterpart: bounded
 weighted L^r norms of rows and columns give ||H f||_q <= C ||f||_p for the
-same exponent relation, with C read off the kernel rather than printed.
+same exponent relation, with C read off the kernel rather than printed.  The
+table and the envelope are exactly symmetric, so the domination constant a'
+and the Schur norms are taken over blocks of the upper triangle
+(``FactoredKernel.upper_row_blocks``), one block of at most 1 MiB at a time.
 
 Band decomposition splits the spectrum dyadically: block 0 holds beta <= 1
 and block j holds 2^(2(j-1)) < beta <= 2^(2j).  The block projectors are
@@ -30,6 +34,7 @@ import numpy as np
 from .envelope import EnvelopeParams, envelope
 from .errors import ContractError, DomainError, PreconditionError
 from .geometry import DoublingProfile, MetricMeasureSpace, lp_norm
+from .heat import FactoredKernel
 from .jacobi import SpectralBasis, coefficients, synthesize
 from .nets import Net, cell_masses, check_net_space
 from .reporting import VerificationReport, make_report
@@ -37,54 +42,54 @@ from .reporting import VerificationReport, make_report
 
 @dataclass(frozen=True)
 class KernelOperator:
-    """Nodal kernel H with its tight domination constant: |H| <= a_prime * E
+    """Factored kernel H with its tight domination constant: |H| <= a_prime * E
     at every node pair, for the envelope E of ``params``."""
 
-    table: np.ndarray
+    kernel: FactoredKernel
     a_prime: float
     params: EnvelopeParams
 
 
 BAND_TOL = 1e-10  # Parseval and reconstruction defects, relative to max(1, size of f)
 
-# Entries per row block of the domination max: a few 1 MiB temporaries
-# instead of four N x N tables.
-_BLOCK_ENTRIES = 2**17
+
+def _check_kernel_space(space: MetricMeasureSpace, kernel: FactoredKernel) -> None:
+    if kernel.rows.shape[1] != space.n:
+        raise ContractError("kernel must cover all node pairs of the space")
 
 
-def dominated_operator(space: MetricMeasureSpace, table: np.ndarray, params: EnvelopeParams) -> KernelOperator:
+def dominated_operator(space: MetricMeasureSpace, kernel: FactoredKernel, params: EnvelopeParams) -> KernelOperator:
     """The kernel with a_prime = max |H| / E over every node pair.
 
     Where (1 + d/delta)^-sigma_exp underflows and H does not vanish, a_prime
     is infinite: a PreconditionError, since no mapping bound follows.
     """
-    table = np.asarray(table, dtype=float)
-    if table.shape != (space.n, space.n):
-        raise ContractError("kernel table must cover all node pairs")
+    _check_kernel_space(space, kernel)
     nodes = np.arange(space.n)
-    rows = max(1, _BLOCK_ENTRIES // space.n)
-    # per-entry arithmetic of the whole-table form, so the max is bitwise the same
+    # per-entry arithmetic of the whole-table form, and |H| / E is exactly
+    # symmetric, so the max over the upper triangle is bitwise the same
     with np.errstate(divide="ignore", over="ignore"):
         a_prime = float(np.max([
-            (np.abs(table[start:start + rows]) / envelope(space, params, nodes[start:start + rows, None], nodes)).max()
-            for start in range(0, space.n, rows)
+            (np.abs(block, out=block) / envelope(space, params, nodes[rows, None], nodes[rows.start :])).max()
+            for rows, block in kernel.upper_row_blocks()
         ]))
     if math.isinf(a_prime):
         raise PreconditionError(
             f"envelope (1 + d/delta)^-sigma underflows at sigma = {params.sigma_exp:g} where the kernel is nonzero, "
             f"so a' = max |H|/E is infinite; the mapping bound is vacuous"
         )
-    return KernelOperator(table=table, a_prime=a_prime, params=params)
+    return KernelOperator(kernel=kernel, a_prime=a_prime, params=params)
 
 
 def apply_operator(space: MetricMeasureSpace, op: KernelOperator, f: np.ndarray) -> np.ndarray:
-    """(H f)(y) = integral of H(x, y) f(x) dsigma(x)."""
+    """(H f)(y) = integral of H(x, y) f(x) dsigma(x), as V^T D V (w f), for
+    one function or one per row of f."""
     f = np.asarray(f, dtype=float)
-    if f.shape != (space.n,):
+    if f.ndim not in (1, 2) or f.shape[-1] != space.n:
         raise ContractError("nodal values must align with the space")
-    if op.table.shape != (space.n, space.n):
-        raise ContractError("operator does not act on this space")
-    return (space.weights * f) @ op.table
+    _check_kernel_space(space, op.kernel)
+    kernel = op.kernel
+    return ((space.weights * f) @ kernel.rows.T * kernel.decay) @ kernel.rows
 
 
 _LOG2 = math.log(2.0)
@@ -102,14 +107,12 @@ def _worst_ratio(
 ) -> tuple[float, int]:
     """Largest ||H f||_q / ||f||_p over the nonzero trial rows, and the row count."""
     trials = np.atleast_2d(np.asarray(trials, dtype=float))
-    if trials.shape[1] != space.n:
-        raise ContractError("trial functions must align with the space")
     worst = 0.0
-    for f in trials:
+    for f, image in zip(trials, apply_operator(space, op, trials)):
         denom = lp_norm(space.weights, f, p)
         if denom == 0.0:
             continue
-        worst = max(worst, lp_norm(space.weights, apply_operator(space, op, f), q) / denom)
+        worst = max(worst, lp_norm(space.weights, image, q) / denom)
     return worst, int(trials.shape[0])
 
 
@@ -168,6 +171,7 @@ def verify_young(
             "k": k,
             "a_prime": op.a_prime,
             "a_hat": a_hat,
+            "kernel_tail": op.kernel.tail,
             "n_trials": n_trials,
         },
     )
@@ -188,24 +192,29 @@ def verify_schur(
     inv_r = _exponent_inverse(r)
     if abs((inv_p - inv_q) - (1.0 - inv_r)) > 1e-12:
         raise DomainError("exponents must satisfy 1/p - 1/q = 1 - 1/r")
-    if op.table.shape != (space.n, space.n):
-        raise ContractError("operator does not act on this space")
+    _check_kernel_space(space, op.kernel)
     w = space.weights
-    absH = np.abs(op.table)
-    if math.isinf(r):
-        first_slot = absH.max(axis=0)
-        second_slot = absH.max(axis=1)
-    else:
-        first_slot = (w @ absH ** r) ** (1.0 / r)
-        second_slot = (absH ** r @ w) ** (1.0 / r)
-    C = float(max(first_slot.max(), second_slot.max()))
+    # The table is exactly symmetric, so its row norms are its column norms.
+    # A block adds its row sums to its rows, and the column sums of its part
+    # right of the diagonal square to the rows those columns mirror.
+    largest = 0.0
+    powered_sums = np.zeros(space.n)
+    for rows, block in op.kernel.upper_row_blocks():
+        np.abs(block, out=block)
+        if math.isinf(r):
+            largest = max(largest, float(block.max()))
+            continue
+        block **= r
+        powered_sums[rows] += block @ w[rows.start :]
+        powered_sums[rows.stop :] += w[rows] @ block[:, rows.stop - rows.start :]
+    C = largest if math.isinf(r) else float(powered_sums.max()) ** (1.0 / r)
     worst, n_trials = _worst_ratio(space, op, p, q, trials)
     return make_report(
         "schur",
         worst,
         C,
         paper_constant=C,
-        context={"p": p, "q": q, "r": r, "n_trials": n_trials},
+        context={"p": p, "q": q, "r": r, "kernel_tail": op.kernel.tail, "n_trials": n_trials},
     )
 
 

@@ -23,8 +23,8 @@ from heatframe import (
     dominated_operator,
     eigenvalue,
     estimate_doubling,
+    factored_kernel,
     fit_gaussian_bounds,
-    heat_kernel,
     make_jacobi_space,
     random_polynomials,
     verify_ball_growth,
@@ -198,7 +198,7 @@ def test_criterion_06_young_bound(legendre_space, legendre_basis):
     delta = 0.2
     params = EnvelopeParams(delta=delta, sigma_exp=2 * profile.k + 1.0, k=profile.k)
     op = dominated_operator(
-        space, heat_kernel(legendre_basis, delta**2), params
+        space, factored_kernel(legendre_basis, delta**2), params
     )
     trials = random_polynomials(legendre_basis, 20, 16, rng)
     failures = 0

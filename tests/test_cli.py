@@ -133,6 +133,21 @@ def test_vacuous_young_constant_exits_two(capsys):
     assert "Traceback" not in err
 
 
+def test_truncated_young_schur_kernel_is_recorded_not_gated(tmp_path):
+    # At delta = 0.1 the degree-51 kernel at t = delta^2 keeps a tail of 5.06e-12.
+    out = tmp_path / "verify.json"
+    argv = ["verify", "--gamma", "-0.5", "--alpha", "-0.5", "--nodes", "64", "--degree", "51",
+            "--delta", "0.1", "--out", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 0
+    [warning] = [str(w.message) for w in caught]
+    reports = json.loads(out.read_text())["reports"]
+    [tail] = {r["context"]["kernel_tail"] for r in reports if r["check_id"] in ("young", "schur")}
+    assert tail > 1e-12
+    assert warning == f"spectral tail exp(-beta_N t) = {tail:.2e} exceeds 1.0e-12 at t = {0.1**2}"
+
+
 def _main_recording_runtime_warnings(argv):
     """Run main; return its exit code and the RuntimeWarnings (numpy's raw notices) it raised."""
     with warnings.catch_warnings(record=True) as caught:
@@ -172,9 +187,8 @@ def test_default_verdict_emits_every_registered_check(tmp_path):
 def test_overflowing_constant_ends_in_one_error_line(extra, constant, capsys):
     code, runtime_warnings = _main_recording_runtime_warnings(["verify", "--nodes", "30", "--degree", "29", *extra])
     assert code == 2
-    if constant != "a2":
-        # at k = 400 the lemma pass still takes 0 * inf before a2 is checked
-        assert runtime_warnings == []
+    # at k = 400 the lemma pass meets an infinite constant before a2 is checked
+    assert runtime_warnings == []
     err = capsys.readouterr().err
     assert "RuntimeWarning" not in err
     errors = [line for line in err.splitlines() if line.startswith("error:")]

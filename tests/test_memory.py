@@ -1,0 +1,54 @@
+"""A `verify` verdict holds no table of all node pairs and no (degree + 1)^2
+Gram matrix: each phase that once built one stays below that size."""
+
+import tracemalloc
+
+from heatframe import cli, heat, jacobi, operators
+
+NODES, DEGREE = 1024, 800
+PHASES = (
+    (heat, "verify_semigroup"),
+    (operators, "dominated_operator"),
+    (operators, "verify_young"),
+    (operators, "verify_schur"),
+    (jacobi, "build_basis"),
+)
+
+
+def test_verify_at_1024_nodes_allocates_no_table_of_all_pairs(monkeypatch, tmp_path):
+    peaks: dict[str, list[tuple[int, int]]] = {}
+
+    def watch(module, name):
+        original = getattr(module, name)
+
+        def traced(*args, **kwargs):
+            entry, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            try:
+                return original(*args, **kwargs)
+            finally:
+                _, peak = tracemalloc.get_traced_memory()
+                peaks.setdefault(name, []).append((args[0].n, peak - entry))  # every phase takes the space first
+
+        monkeypatch.setattr(module, name, traced)
+
+    def no_dense_table(*args, **kwargs):
+        raise AssertionError("verify built the dense heat-kernel table")
+
+    for module, name in PHASES:
+        watch(module, name)
+    monkeypatch.setattr(heat, "heat_kernel", no_dense_table)
+    tracemalloc.start()
+    try:
+        code = cli.main(["verify", "--nodes", str(NODES), "--degree", str(DEGREE), "--out", str(tmp_path / "v.json")])
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    table_bytes = NODES * NODES * 8
+    for name in ("verify_semigroup", "dominated_operator", "verify_young", "verify_schur"):
+        assert peaks[name], name
+        assert max(peak for _, peak in peaks[name]) < table_bytes, (name, peaks[name])
+    # The refinement: 2048 nodes at degree 1600, of which 122 rows are stored.
+    refined = [peak for n, peak in peaks["build_basis"] if n == 2 * NODES]
+    assert len(refined) == 1
+    assert refined[0] < (2 * DEGREE + 1) ** 2 * 8 + jacobi._BLOCK_BYTES

@@ -11,6 +11,7 @@ from heatframe import (
     ContractError,
     DomainError,
     EnvelopeParams,
+    FactoredKernel,
     JacobiParams,
     PreconditionError,
     apply_operator,
@@ -22,6 +23,7 @@ from heatframe import (
     dominated_operator,
     envelope,
     estimate_doubling,
+    factored_kernel,
     heat_kernel,
     lp_norm,
     make_jacobi_space,
@@ -30,7 +32,6 @@ from heatframe import (
     verify_schur,
     verify_young,
 )
-from heatframe.jacobi import multiplier_table
 
 # an envelope at the fixture scale that dominates every kernel built here
 PARAMS = EnvelopeParams(delta=0.2, sigma_exp=5.0, k=2)
@@ -49,8 +50,8 @@ def test_lp_norm_hand_values():
 def test_low_pass_projector_on_square(legendre_space, legendre_basis):
     # Projecting x^2 onto span{1, x} leaves the mean: <x^2, 1>/<1, 1> = 1/3.
     low_pass = (legendre_basis.eigenvalues <= 2.0).astype(float)
-    table = multiplier_table(legendre_basis.rows(), low_pass)
-    projector = dominated_operator(legendre_space, table, PARAMS)
+    kernel = FactoredKernel(rows=legendre_basis.rows(), decay=low_pass, tail=0.0)  # exact: nothing truncated
+    projector = dominated_operator(legendre_space, kernel, PARAMS)
     projected = apply_operator(
         legendre_space, projector, legendre_space.points**2
     )
@@ -70,14 +71,14 @@ def test_heat_kernel_matches_the_legendre_series(legendre_space, legendre_basis)
 
 
 def test_domination_fit_and_envelope_underflow(legendre_space, legendre_basis):
-    table = heat_kernel(legendre_basis, PARAMS.delta**2)
-    op = dominated_operator(legendre_space, table, PARAMS)
+    kernel = factored_kernel(legendre_basis, PARAMS.delta**2)
+    op = dominated_operator(legendre_space, kernel, PARAMS)
     assert 0.0 < op.a_prime < math.inf
     # (1 + pi/0.2)^-300 underflows to 0 at the far pairs, where H does not vanish
     with pytest.raises(PreconditionError, match=r"envelope .* underflows at sigma = 300.*vacuous"):
-        dominated_operator(legendre_space, table, EnvelopeParams(delta=PARAMS.delta, sigma_exp=300.0, k=2))
+        dominated_operator(legendre_space, kernel, EnvelopeParams(delta=PARAMS.delta, sigma_exp=300.0, k=2))
     with pytest.raises(ContractError):
-        dominated_operator(legendre_space, table[:10], PARAMS)
+        dominated_operator(legendre_space, FactoredKernel(kernel.rows[:, :10], kernel.decay, kernel.tail), PARAMS)
 
 
 def _doubling(space):
@@ -86,21 +87,32 @@ def _doubling(space):
     return estimate_doubling(space, np.arange(space.n), radii)
 
 
+@pytest.mark.filterwarnings("ignore::heatframe.TruncationWarning")  # (5, 20) at degree 19 truncates
 def test_domination_max_is_the_whole_table_max_within_one_table_of_memory():
-    space = make_jacobi_space(0.0, 0.0, 1024)
-    table = heat_kernel(build_basis(space, JacobiParams(0.0, 0.0), 200), 0.01)
-    params = EnvelopeParams(delta=0.1, sigma_exp=5.0, k=2)
-    tracemalloc.start()
-    try:
-        op = dominated_operator(space, table, params)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    nodes = np.arange(space.n)
-    whole = np.abs(table) / envelope(space, params, nodes[:, None], nodes[None, :])
-    assert op.a_prime == float(whole.max())
-    # the whole-table form held four tables at once: a 32 MB peak
-    assert peak <= table.nbytes
+    configs = ((0.0, 0.0, 1024, 800, 0.04), (3.0, 0.5, 64, 51, 0.04), (5.0, 20.0, 128, 19, 0.0025))
+    for gamma, alpha, nodes, degree, t in configs:
+        space = make_jacobi_space(gamma, alpha, nodes)
+        basis = build_basis(space, JacobiParams(gamma, alpha), degree)
+        kernel = factored_kernel(basis, t)
+        params = EnvelopeParams(delta=math.sqrt(t), sigma_exp=5.0, k=2)
+        tracemalloc.start()
+        try:
+            op = dominated_operator(space, kernel, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        if nodes == 1024:  # smaller tables fit in one row block
+            # the whole-table form held four N x N tables at once: a 32 MiB peak
+            assert peak <= nodes * nodes * 8
+        table = heat_kernel(basis, t)
+        seen = []
+        for rows, block in kernel.upper_row_blocks():
+            assert np.array_equal(block, table[rows, rows.start :]), (gamma, alpha, rows)
+            seen.extend(range(nodes)[rows])
+        assert seen == list(range(nodes))
+        node = np.arange(nodes)
+        whole = np.abs(table) / envelope(space, params, node[:, None], node[None, :])
+        assert op.a_prime == float(whole.max())
 
 
 def test_young_bound_holds_for_heat_kernel(legendre_space, legendre_basis, rng):
@@ -108,14 +120,39 @@ def test_young_bound_holds_for_heat_kernel(legendre_space, legendre_basis, rng):
     profile = _doubling(legendre_space)
     params = EnvelopeParams(delta=delta, sigma_exp=2 * profile.k + 1, k=profile.k)
     op = dominated_operator(
-        legendre_space, heat_kernel(legendre_basis, delta**2), params
+        legendre_space, factored_kernel(legendre_basis, delta**2), params
     )
     trials = random_polynomials(legendre_basis, 20, 16, rng)
     for p, q in ((1.0, 1.0), (1.0, 2.0), (2.0, 2.0), (1.0, math.inf), (2.0, math.inf)):
         report = verify_young(legendre_space, op, profile, p, q, trials)
         assert report.passed, (p, q, report.margin)
+        assert report.context["kernel_tail"] == np.exp(-legendre_basis.eigenvalues * delta**2)[-1]
     with pytest.raises(DomainError):
         verify_young(legendre_space, op, profile, 2.0, 1.0, trials)
+
+
+@pytest.mark.parametrize("gamma, alpha, nodes, degree", [(0.0, 0.0, 64, 40), (3.0, -0.5, 96, 76)])
+def test_factored_action_and_schur_constant_match_the_dense_table(gamma, alpha, nodes, degree):
+    space = make_jacobi_space(gamma, alpha, nodes)
+    basis = build_basis(space, JacobiParams(gamma, alpha), degree)
+    t = 0.04
+    op = dominated_operator(space, factored_kernel(basis, t), PARAMS)
+    table = heat_kernel(basis, t)
+    w = space.weights
+    for f in random_polynomials(basis, 5, 16, np.random.default_rng(3)):
+        dense = (w * f) @ table
+        assert np.abs(apply_operator(space, op, f) - dense).max() <= 1e-13 * np.abs(dense).max()
+    trials = random_polynomials(basis, 2, 8, np.random.default_rng(4))
+    absH = np.abs(table)
+    for p, q, r in ((2.0, 2.0, 1.0), (1.0, 2.0, 2.0), (1.0, math.inf, math.inf)):
+        if math.isinf(r):
+            slots = (absH.max(axis=0), absH.max(axis=1))
+        else:
+            slots = ((w @ absH**r) ** (1.0 / r), (absH**r @ w) ** (1.0 / r))
+        dense_C = float(max(slots[0].max(), slots[1].max()))
+        report = verify_schur(space, op, p, q, r, trials)
+        assert report.rhs == pytest.approx(dense_C, rel=1e-13, abs=0.0)
+        assert report.context["kernel_tail"] == op.kernel.tail
 
 
 def test_young_requires_wide_envelope_exponent(legendre_space, legendre_basis, rng):
@@ -123,7 +160,7 @@ def test_young_requires_wide_envelope_exponent(legendre_space, legendre_basis, r
     k = profile.k
     params = EnvelopeParams(delta=0.2, sigma_exp=2 * k + 0.5, k=k)
     op = dominated_operator(
-        legendre_space, heat_kernel(legendre_basis, 0.04), params
+        legendre_space, factored_kernel(legendre_basis, 0.04), params
     )
     trials = random_polynomials(legendre_basis, 4, 8, rng)
     with pytest.raises(PreconditionError):
@@ -131,7 +168,7 @@ def test_young_requires_wide_envelope_exponent(legendre_space, legendre_basis, r
 
 
 def test_schur_bound_holds(legendre_space, legendre_basis, rng):
-    op = dominated_operator(legendre_space, heat_kernel(legendre_basis, 0.3), PARAMS)
+    op = dominated_operator(legendre_space, factored_kernel(legendre_basis, 0.3), PARAMS)
     trials = random_polynomials(legendre_basis, 10, 16, rng)
     for p, q, r in ((2.0, 2.0, 1.0), (1.0, 2.0, 2.0)):
         report = verify_schur(legendre_space, op, p, q, r, trials)

@@ -18,7 +18,7 @@ from heatframe import (
     verify_holder,
     verify_poincare,
 )
-from heatframe import cli
+from heatframe import cli, jacobi
 from heatframe.cli import GAUSS_T_GRID, RunConfig
 from heatframe.jacobi import POINCARE_DEGREE
 
@@ -92,8 +92,9 @@ def test_reads_past_the_stored_rows_raise(lean):
 def test_refinement_build_memory():
     # The refinement of 1024 nodes at degree 819 has 2048 nodes and 1639
     # rows; storing both full tables took a 99 MiB peak.  Its fits read 122
-    # rows, so the Gram matrix (21 MiB) and one recurrence block (8 MiB)
-    # dominate: 40 MiB with the rule's build.
+    # rows, so the Gram check (its upper panels, 11 MiB) and one recurrence
+    # block (8 MiB) dominate: 25 MiB with the rule's build, against 38 MiB
+    # with the whole 1639 x 1639 Gram matrix.
     config = RunConfig(n_nodes=1024, degree=819)
     tracemalloc.start()
     try:
@@ -102,4 +103,4 @@ def test_refinement_build_memory():
     finally:
         tracemalloc.stop()
     assert basis.values.shape == (122, 2048)
-    assert peak <= 48 * 2**20
+    assert peak < basis.size**2 * 8 + jacobi._BLOCK_BYTES
