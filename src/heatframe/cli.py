@@ -103,24 +103,24 @@ class RunConfig:
 
 
 def _build(config: RunConfig, *, doubled: bool = False) -> jacobi.SpectralBasis:
-    """The configured basis, or its refinement on twice the nodes at twice
-    the degree (capped at the rule's exactness limit).
+    """The configured basis, or its refinement on twice the nodes.
 
     The refinement serves the Gaussian and Hoelder fits, which read the rows
     ``heat.factored_kernel`` keeps at the smallest fit time (those whose
     decay exp(-beta_k t) has not underflowed to 0), and the Poincare fit,
-    which reads rows 0..jacobi.POINCARE_DEGREE.  It stores only those rows.
+    which reads rows 0..jacobi.POINCARE_DEGREE.  Its degree is the last of
+    those rows, capped at twice the configured degree and at the rule's
+    exactness limit.
     """
     scale = 2 if doubled else 1
     nodes = scale * config.n_nodes
     space = geometry.make_jacobi_space(config.gamma, config.alpha, nodes)
     params = jacobi.JacobiParams(config.gamma, config.alpha)
     degree = min(scale * config.degree, nodes - 1)
-    stored = None
     if doubled:
         live = int(np.count_nonzero(np.exp(-jacobi.eigenvalues(params, degree) * min(GAUSS_T_GRID))))
-        stored = min(degree + 1, max(jacobi.POINCARE_DEGREE + 1, live))
-    return jacobi.build_basis(space, params, degree, stored_rows=stored)
+        degree = min(degree, max(jacobi.POINCARE_DEGREE + 1, live) - 1)
+    return jacobi.build_basis(space, params, degree)
 
 
 def _theta_range(space: geometry.MetricMeasureSpace) -> tuple[float, float]:

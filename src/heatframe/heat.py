@@ -78,7 +78,7 @@ def _decay(basis: SpectralBasis, t: float) -> np.ndarray:
 def heat_kernel(basis: SpectralBasis, t: float) -> np.ndarray:
     """The symmetric table of h_t on all node pairs; warn if the spectral
     tail is not negligible at this t."""
-    return multiplier_table(basis.rows(), _decay(basis, t))
+    return multiplier_table(basis.values, _decay(basis, t))
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,7 @@ class FactoredKernel:
     rows[k, i] rows[k, j].
 
     Basis rows past the last nonzero decay factor (exp(-beta_k t) underflows
-    to 0) add exact zeros to every sum, so they are dropped; a basis that
-    stores fewer rows than are left raises ContractError.  ``tail`` is
+    to 0) add exact zeros to every sum, so they are dropped.  ``tail`` is
     exp(-beta_N t) at the basis degree N, whether or not its row is kept: the
     per-term bound on the spectral tail the expansion truncates.
     """
@@ -140,7 +139,7 @@ def factored_kernel(basis: SpectralBasis, t: float) -> FactoredKernel:
     """The factored view of h_t, with the time and tail checks of heat_kernel."""
     decay = _decay(basis, t)
     keep = int(np.flatnonzero(decay).max(initial=-1)) + 1
-    return FactoredKernel(rows=basis.rows(keep), decay=decay[:keep], tail=float(decay[-1]))
+    return FactoredKernel(rows=basis.values[:keep], decay=decay[:keep], tail=float(decay[-1]))
 
 
 def verify_markov(basis: SpectralBasis, t: float) -> VerificationReport:
@@ -205,7 +204,7 @@ def verify_eigen_action(
     if max_index < 0 or max_index > basis.degree:
         raise DomainError("max_index must lie within the basis degree")
     kernel = factored_kernel(basis, t)
-    probes = basis.rows(max_index + 1)
+    probes = basis.values[: max_index + 1]
     images = (kernel.decay[:, None] * (kernel.rows @ (probes * basis.space.weights).T)).T @ kernel.rows
     expected = np.exp(-basis.eigenvalues[: max_index + 1] * t)[:, None] * probes
     defects = np.abs(images - expected).max(axis=1)

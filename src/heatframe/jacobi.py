@@ -29,7 +29,7 @@ from .geometry import MetricMeasureSpace, ball_members
 from .reporting import VerificationReport, make_report
 
 _ORTHO_TOL = 1e-10
-_ROW_MATCH_TOL = 1e-8  # recurrence rows against the stored rows, relative to their largest entry
+_ROW_MATCH_TOL = 1e-8  # recurrence rows against the basis rows, relative to their largest entry
 POINCARE_FUNCTIONS = 20  # random polynomials per ball in the Poincare fit
 POINCARE_DEGREE = 10  # their degree, capped at the basis degree
 _BLOCK_BYTES = 8 * 2**20  # one node block of the recurrence: every row at its nodes
@@ -54,13 +54,7 @@ class SpectralBasis:
 
     values[i, j] = P_i(x_j); rows are renormalized to exact unit discrete
     norm so that analysis followed by synthesis is an exact projection at
-    the stored degree.
-
-    A basis may store only its leading rows (``build_basis(...,
-    stored_rows=K)``) while keeping every eigenvalue; ``degree`` is read off
-    the eigenvalues, so it stays that of the full basis.  Read the table
-    through ``rows``, which raises ContractError for a row that is not
-    stored rather than return fewer rows.
+    the basis degree.
     """
 
     space: MetricMeasureSpace
@@ -75,34 +69,22 @@ class SpectralBasis:
     def size(self) -> int:
         return int(self.eigenvalues.size)
 
-    def rows(self, count: int | None = None) -> np.ndarray:
-        """P_0..P_{count-1} at the nodes (every row by default)."""
-        count = self.size if count is None else count
-        if count > self.values.shape[0]:
-            raise ContractError(
-                f"rows 0..{count - 1} requested, but the basis stores rows 0..{self.values.shape[0] - 1} only"
-            )
-        return self.values[:count]
 
-
-def build_basis(
-    space: MetricMeasureSpace, params: JacobiParams, degree: int, *, stored_rows: int | None = None
-) -> SpectralBasis:
+def build_basis(space: MetricMeasureSpace, params: JacobiParams, degree: int) -> SpectralBasis:
     """Tabulate P_0..P_degree on the space and validate discrete orthonormality.
 
     The quadrature rule is exact through polynomial degree 2 n - 1, so the
     basis degree may not exceed n - 1; past that the discrete Gram matrix
     stops being the identity and every spectral operation silently degrades.
 
-    The recurrence runs over blocks of nodes, into one reused block buffer.
-    Each block adds its share S_b S_b^T, with S = V sqrt(w), to the Gram
-    matrix of every row, so the check covers all degree + 1 rows while only
-    ``stored_rows`` of them (all by default) are kept.  The matrix is
-    symmetric, so only its upper part is formed, packed as panels: panel p
-    holds rows [top, top + _PANEL_ROWS) from column top on.  The products
-    cost what a symmetric rank-k update costs, and the panels together hold
-    about half the matrix.  Each panel is normalised and reduced to its
-    largest defect on its own.
+    The recurrence runs over blocks of nodes.  Each block adds its share
+    S_b S_b^T, with S = V sqrt(w) formed in one reused block buffer, to the
+    Gram matrix of every row.  The matrix is symmetric, so only its upper
+    part is formed, packed as panels: panel p holds rows
+    [top, top + _PANEL_ROWS) from column top on.  The products cost what a
+    symmetric rank-k update costs, and the panels together hold about half
+    the matrix.  Each panel is normalised and reduced to its largest defect
+    on its own.
     """
     if degree < 0:
         raise DomainError("degree must be nonnegative")
@@ -111,11 +93,8 @@ def build_basis(
             f"degree {degree} exceeds the exactness limit {space.n - 1} of an {space.n}-node rule"
         )
     size = degree + 1
-    keep = size if stored_rows is None else stored_rows
-    if not 1 <= keep <= size:
-        raise DomainError("stored rows must lie in [1, degree + 1]")
     a, b, mu0 = recurrence_coefficients(params.gamma, params.alpha, degree)
-    values = np.empty((keep, space.n))
+    values = np.empty((size, space.n))
     tops = range(0, size, _PANEL_ROWS)
     panels = [np.zeros((min(_PANEL_ROWS, size - top), size - top)) for top in tops]
     root_w = np.sqrt(space.weights)
@@ -123,11 +102,9 @@ def build_basis(
     buffer = np.empty((size, width))
     for lo in range(0, space.n, width):
         nodes = slice(lo, min(lo + width, space.n))
-        block = buffer[:, : nodes.stop - lo]
         for k, (v, _) in enumerate(orthonormal_rows(a, b, mu0, space.points[nodes], deriv_rows=0)):
-            block[k] = v
-        values[:, nodes] = block[:keep]
-        block *= root_w[nodes]
+            values[k, nodes] = v
+        block = np.multiply(values[:, nodes], root_w[nodes], out=buffer[:, : nodes.stop - lo])
         for top, panel in zip(tops, panels):
             panel += block[top : top + _PANEL_ROWS] @ block[top:].T
     norms = np.sqrt((values * values) @ space.weights)
@@ -151,7 +128,7 @@ def coefficients(basis: SpectralBasis, f: np.ndarray) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.shape != (basis.space.n,):
         raise ContractError("nodal values must align with the space")
-    return basis.rows() @ (basis.space.weights * f)
+    return basis.values @ (basis.space.weights * f)
 
 
 def synthesize(basis: SpectralBasis, coeffs: np.ndarray) -> np.ndarray:
@@ -159,7 +136,7 @@ def synthesize(basis: SpectralBasis, coeffs: np.ndarray) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (basis.size,):
         raise ContractError("coefficient vector must match the basis size")
-    return coeffs @ basis.rows()
+    return coeffs @ basis.values
 
 
 def multiplier_table(rows: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
@@ -193,7 +170,7 @@ def random_polynomials(
     Each row has exact unit discrete L2 norm, which keeps absolute
     tolerances meaningful across draws.
     """
-    return _random_coefficients(basis, count, max_degree, rng) @ basis.rows(max_degree + 1)
+    return _random_coefficients(basis, count, max_degree, rng) @ basis.values[: max_degree + 1]
 
 
 def rows_with_derivatives(params: JacobiParams, x: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -229,7 +206,7 @@ def verify_poincare(
     space = basis.space
     degree = min(POINCARE_DEGREE, basis.degree)
     coeffs = _random_coefficients(basis, POINCARE_FUNCTIONS, degree, rng)
-    rows = basis.rows(degree + 1)
+    rows = basis.values[: degree + 1]
     raw, derivs = rows_with_derivatives(params, space.points, degree + 1)
     if np.abs(raw - rows).max() > _ROW_MATCH_TOL * np.abs(rows).max():
         raise ContractError("the basis rows are not the orthonormal rows of these weight exponents")

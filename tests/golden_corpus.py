@@ -44,7 +44,7 @@ CALLS = [
     _verify(3.0, -0.5, 64, 51),
     _verify(-0.5, -0.5, 96, 76),
     _verify(-0.5, -0.5, 64, 51, "--delta", "0.1"),  # truncated Young/Schur kernel: one warning
-    _verify(1.5, -0.5, 128, 102),  # the refinement stores fewer rows than its degree + 1
+    _verify(1.5, -0.5, 128, 102),  # the refinement is built at degree 121, below twice 102
     _verify(0.001, -0.002, 128, 102, "--seed", "4"),  # near-flat weight, same refinement shape
     _verify(0.0, 0.0, 64, 51, "--delta", "0.1", "--t", "1.0", "--seed", "3"),
     _verify(0.5, 2.0, 80, 64, "--delta", "0.4", "--seed", "5"),

@@ -50,7 +50,7 @@ def test_lp_norm_hand_values():
 def test_low_pass_projector_on_square(legendre_space, legendre_basis):
     # Projecting x^2 onto span{1, x} leaves the mean: <x^2, 1>/<1, 1> = 1/3.
     low_pass = (legendre_basis.eigenvalues <= 2.0).astype(float)
-    kernel = FactoredKernel(rows=legendre_basis.rows(), decay=low_pass, tail=0.0)  # exact: nothing truncated
+    kernel = FactoredKernel(rows=legendre_basis.values, decay=low_pass, tail=0.0)  # exact: nothing truncated
     projector = dominated_operator(legendre_space, kernel, PARAMS)
     projected = apply_operator(
         legendre_space, projector, legendre_space.points**2

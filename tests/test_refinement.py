@@ -1,5 +1,6 @@
-"""The doubled-resolution basis of `verify` stores only the rows its fits read."""
+"""The doubled-resolution basis of `verify` is built at the degree its fits read."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -7,14 +8,9 @@ import numpy as np
 import pytest
 
 from heatframe import (
-    ContractError,
     JacobiParams,
     build_basis,
-    coefficients,
-    factored_kernel,
     fit_gaussian_bounds,
-    heat_kernel,
-    random_polynomials,
     verify_holder,
     verify_poincare,
 )
@@ -27,35 +23,41 @@ WEIGHT = JacobiParams(CONFIG.gamma, CONFIG.alpha)
 
 
 @pytest.fixture(scope="module")
-def lean():
+def refined():
     return cli._build(CONFIG, doubled=True)
 
 
 @pytest.fixture(scope="module")
-def full(lean):
-    return build_basis(lean.space, WEIGHT, lean.degree)
+def full(refined):
+    """The refinement's space at twice the configured degree, every row built."""
+    return build_basis(refined.space, WEIGHT, min(2 * CONFIG.degree, refined.space.n - 1))
 
 
-def test_refinement_stores_fewer_rows_than_its_degree(lean):
-    assert (lean.space.n, lean.degree) == (256, 204)
-    live = int(np.count_nonzero(np.exp(-lean.eigenvalues * min(GAUSS_T_GRID))))
-    stored = max(POINCARE_DEGREE + 1, live)
-    assert stored < lean.size
-    assert lean.values.shape == (stored, 256)
-    assert lean.eigenvalues.shape == (lean.size,)
+def test_every_built_basis_holds_one_row_per_eigenvalue(refined):
+    base = cli._build(CONFIG)
+    assert (base.space.n, base.degree) == (128, 102)
+    live = int(np.count_nonzero(np.exp(-refined.eigenvalues * min(GAUSS_T_GRID))))
+    assert (refined.space.n, refined.degree) == (256, max(POINCARE_DEGREE + 1, live) - 1) == (256, 121)
+    for basis in (base, refined):
+        assert basis.values.shape == (basis.eigenvalues.size, basis.space.n)
 
 
-def test_stored_rows_are_the_leading_rows_of_the_full_table(lean, full):
+def test_refined_rows_are_the_leading_rows_of_the_full_table(refined, full):
     # The row norms come from one matrix-vector product, whose BLAS kernel
     # may group the last few rows differently for another row count; the
     # rows then differ in the last ulp.
-    stored = lean.values.shape[0]
-    scale = np.abs(full.values[:stored]).max(axis=1, keepdims=True)
-    assert np.all(np.abs(lean.values - full.values[:stored]) <= 4e-16 * scale)
-    assert np.array_equal(lean.eigenvalues, full.eigenvalues)
+    size = refined.size
+    assert full.size > size
+    scale = np.abs(full.values[:size]).max(axis=1, keepdims=True)
+    assert np.all(np.abs(refined.values - full.values[:size]) <= 4e-16 * scale)
+    assert np.array_equal(refined.eigenvalues, full.eigenvalues[:size])
 
 
-def test_fits_on_the_lean_refinement_match_the_full_table(lean, full):
+def _without_degree(report):
+    return dataclasses.replace(report, context=dict(report.context, degree=None))
+
+
+def test_fits_on_the_refinement_match_the_full_table(refined, full):
     rng = np.random.default_rng(11)
     pairs = list(zip(*np.cos(rng.uniform(0.0, math.pi, (2, 150)))))
     step = math.sqrt(min(GAUSS_T_GRID))
@@ -64,37 +66,24 @@ def test_fits_on_the_lean_refinement_match_the_full_table(lean, full):
         th1, th2 = rng.uniform(0.0, math.pi, 2)
         th2p = min(max(th2 + rng.uniform(-1.0, 1.0) * step, 0.0), math.pi)
         triples.append((math.cos(th1), math.cos(th2), math.cos(th2p)))
-    gauss = [fit_gaussian_bounds(b, GAUSS_T_GRID, pairs) for b in (lean, full)]
-    assert gauss[0] == gauss[1]  # every field, to the bit
+    # every field to the bit, but the degree each basis reports
+    gauss = [fit_gaussian_bounds(b, GAUSS_T_GRID, pairs) for b in (refined, full)]
+    assert [r.context["degree"] for r in gauss] == [refined.degree, full.degree]
+    assert _without_degree(gauss[0]) == _without_degree(gauss[1])
     rate = gauss[0].context["a"]
-    holder = [verify_holder(b, GAUSS_T_GRID, triples, decay_rate=rate) for b in (lean, full)]
-    assert holder[0] == holder[1]
+    holder = [verify_holder(b, GAUSS_T_GRID, triples, decay_rate=rate) for b in (refined, full)]
+    assert _without_degree(holder[0]) == _without_degree(holder[1])
     balls = [(float(c), float(r)) for c, r in zip(rng.uniform(-0.9, 0.9, 12), rng.uniform(0.1, 1.0, 12))]
-    poincare = [verify_poincare(b, WEIGHT, balls, np.random.default_rng(1)) for b in (lean, full)]
+    poincare = [verify_poincare(b, WEIGHT, balls, np.random.default_rng(1)) for b in (refined, full)]
     assert poincare[0].passed and poincare[1].passed
     assert poincare[0].context["K_fit"] == pytest.approx(poincare[1].context["K_fit"], rel=1e-12)
 
 
-def test_reads_past_the_stored_rows_raise(lean):
-    stored = lean.values.shape[0]
-    factored_kernel(lean, min(GAUSS_T_GRID))
-    with pytest.raises(ContractError):
-        factored_kernel(lean, 0.5 * min(GAUSS_T_GRID))  # keeps more rows than are stored
-    random_polynomials(lean, 2, stored - 1, np.random.default_rng(0))
-    with pytest.raises(ContractError):
-        random_polynomials(lean, 2, stored, np.random.default_rng(0))
-    with pytest.raises(ContractError):
-        coefficients(lean, np.ones(lean.space.n))
-    with pytest.raises(ContractError):
-        heat_kernel(lean, 1.0)
-
-
 def test_refinement_build_memory():
-    # The refinement of 1024 nodes at degree 819 has 2048 nodes and 1639
-    # rows; storing both full tables took a 99 MiB peak.  Its fits read 122
-    # rows, so the Gram check (its upper panels, 11 MiB) and one recurrence
-    # block (8 MiB) dominate: 25 MiB with the rule's build, against 38 MiB
-    # with the whole 1639 x 1639 Gram matrix.
+    # The refinement of 1024 nodes at degree 819 has 2048 nodes; its fits
+    # read 122 rows, so it is built at degree 121.  Its table, Gram panels
+    # and recurrence block come to about 6 MiB, against 25 MiB when the
+    # Gram check covered all 1639 rows of degree 1638.
     config = RunConfig(n_nodes=1024, degree=819)
     tracemalloc.start()
     try:
@@ -102,5 +91,6 @@ def test_refinement_build_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert basis.degree == 121
     assert basis.values.shape == (122, 2048)
-    assert peak < basis.size**2 * 8 + jacobi._BLOCK_BYTES
+    assert peak < jacobi._BLOCK_BYTES
