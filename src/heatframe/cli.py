@@ -31,7 +31,7 @@ from .envelope import (
     verify_lemma_integrals,
 )
 from .errors import DomainError, ExactnessError, HeatframeError
-from .reporting import VerificationReport, aggregate, compare_stability, gate, to_json
+from .reporting import VerificationReport, aggregate, compare_stability, gate, open_output, to_json
 
 GAUSS_T_GRID = (0.05, 0.1, 0.2, 0.5, 1.0)
 EIGEN_T_GRID = (0.1, 0.5)
@@ -276,7 +276,7 @@ def run_verify(config: RunConfig) -> int:
     }
     text = to_json(document)
     if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
+        with open_output(config.out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,8 +44,8 @@ class MetricMeasureSpace:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        points = np.asarray(self.points, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        points = _read_only(np.asarray(self.points, dtype=float))
+        weights = _read_only(np.asarray(self.weights, dtype=float))
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights)
         if points.ndim != 1 or points.size == 0:
@@ -70,13 +70,13 @@ class MetricMeasureSpace:
     @cached_property
     def _theta(self) -> np.ndarray:
         """arccos of the points: nonincreasing along the stored order."""
-        return np.arccos(self.points)
+        return _read_only(np.arccos(self.points))
 
     @cached_property
     def _sorted_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """theta ascending (the stored order reversed) and its weights,
         padded with (inf, 0)."""
-        return np.append(self._theta[::-1], np.inf), np.append(self.weights[::-1], 0.0)
+        return _read_only(np.append(self._theta[::-1], np.inf)), _read_only(np.append(self.weights[::-1], 0.0))
 
     @cached_property
     def _node_ball_volumes(self) -> dict[float, np.ndarray]:
@@ -92,12 +92,27 @@ class MetricMeasureSpace:
         return np.abs(self._theta[i] - self._theta[j])
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only view: writes through it raise, the caller's array stays writable."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+@lru_cache(maxsize=32)
 def make_jacobi_space(gamma: float, alpha: float, n_nodes: int) -> MetricMeasureSpace:
     """Gauss quadrature space for the weight (1-x)^gamma (1+x)^alpha.
 
     The rule integrates polynomials up to degree 2 n_nodes - 1 exactly, so
     the discrete measure reproduces every moment a basis of degree
     n_nodes - 1 can probe.
+
+    Spaces are memoised per process, 32 at a time (a verdict uses two), so a
+    caller that repeats (gamma, alpha, n_nodes) builds the rule once and
+    shares the space's own memos (theta, the sorted runs, the ball volumes
+    per radius).  The space's arrays are read-only, so no caller can change
+    what the next one reads.  Equal arguments share one entry: (-0.0, 0, n)
+    and (0.0, 0.0, n) build the same rule bitwise.
     """
     if n_nodes < 2:
         raise DomainError("need at least two quadrature nodes")
@@ -127,8 +142,7 @@ def ball_volumes_at_nodes(space: MetricMeasureSpace, r: float) -> np.ndarray:
     r = float(r)
     volumes = space._node_ball_volumes.get(r)
     if volumes is None:
-        volumes = ball_volume(space, np.arange(space.n), r)
-        volumes.flags.writeable = False
+        volumes = _read_only(ball_volume(space, np.arange(space.n), r))
         space._node_ball_volumes[r] = volumes
     return volumes
 

@@ -29,7 +29,6 @@ under refinement, never agreement with a printed constant.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -39,7 +38,7 @@ import numpy as np
 from .errors import DomainError, ExactnessError, SamplingError, TruncationWarning
 from .geometry import MetricMeasureSpace, ball_volumes_at_nodes
 from .jacobi import SpectralBasis, multiplier_table
-from .reporting import VerificationReport, make_report
+from .reporting import VerificationReport, make_report, open_output
 
 import warnings
 
@@ -403,10 +402,7 @@ def verify_holder(
 
 def kernel_to_csv(table: np.ndarray, path: str) -> None:
     """Write the kernel table as rows (x_index, y_index, value)."""
-    n = table.shape[0]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x_index", "y_index", "value"])
-        for i in range(n):
-            for j in range(n):
-                writer.writerow([str(i), str(j), repr(float(table[i, j]))])
+    with open_output(path, newline="") as fh:
+        fh.write("x_index,y_index,value\r\n")
+        for i in range(table.shape[0]):
+            fh.write("".join(f"{i},{j},{v!r}\r\n" for j, v in enumerate(table[i].tolist())))

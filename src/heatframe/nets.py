@@ -24,7 +24,7 @@ import numpy as np
 from .envelope import EnvelopeParams, constant_power, envelope
 from .errors import ContractError, DomainError
 from .geometry import MetricMeasureSpace, ball_volumes_at_nodes
-from .reporting import VerificationReport, make_report
+from .reporting import VerificationReport, make_report, open_output
 
 _SEP_TOL = 1e-12
 
@@ -243,7 +243,7 @@ def save_net(net: Net, path: str) -> None:
         "centers": [int(c) for c in net.centers],
         "assignment": [int(a) for a in net.assignment],
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
 

@@ -37,7 +37,7 @@ from .geometry import DoublingProfile, MetricMeasureSpace, lp_norm
 from .heat import FactoredKernel
 from .jacobi import SpectralBasis, coefficients, synthesize
 from .nets import Net, cell_masses, check_net_space
-from .reporting import VerificationReport, make_report
+from .reporting import VerificationReport, make_report, open_output
 
 
 @dataclass(frozen=True)
@@ -335,7 +335,7 @@ def verify_band_decomposition(
 
 def decomposition_to_csv(decomp: BandDecomposition, path: str) -> None:
     """Write net coefficients as rows (j, center_index, coefficient)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["j", "center_index", "coefficient"])
         n_blocks, m = decomp.net_coefficients.shape

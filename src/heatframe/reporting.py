@@ -9,10 +9,12 @@ floor of -1e-12 * max(1, |rhs|).
 from __future__ import annotations
 
 import math
+import os
+import stat
 from dataclasses import dataclass
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, TextIO
 
 from .errors import DomainError
 
@@ -222,6 +224,22 @@ def _text(value: Any, depth: int) -> str:
     if isinstance(value, (list, tuple)):
         return _list_text(value, depth)
     return _quote(str(value))
+
+
+def open_output(path: str, newline: str | None = None) -> TextIO:
+    """Open ``path`` for writing UTF-8 text as a new file.
+
+    An existing regular file is unlinked first rather than truncated in
+    place, so the write never waits on the write-back of the old copy.
+    Other hard links to that file keep the old copy.  A symlink is written
+    through to its target, and a device such as /dev/null is opened as is.
+    """
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    except OSError:  # no such file, or one we may not unlink: open it as before
+        pass
+    return open(path, "w", newline=newline, encoding="utf-8")
 
 
 def compare_stability(

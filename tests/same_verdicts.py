@@ -7,7 +7,9 @@ Run from any directory:
 Each DIR is a repository root.  Each tree runs the whole grid in one fresh
 interpreter with ``PYTHONPATH=DIR/src``, every call in process through
 ``heatframe.cli.main`` with its output written to a temporary file and its
-warnings recorded.  The grid is fixed and never chosen by outcome:
+warnings recorded.  Each call starts from an empty quadrature-space memo
+(``geometry.make_jacobi_space.cache_clear()``, where the tree has one), as a
+one-shot CLI run does.  The grid is fixed and never chosen by outcome:
 
 - every call of the golden corpus (``golden_corpus.CALLS``);
 - the ``verify_sweep`` and ``verify_large`` operations the benchmark draws
@@ -23,9 +25,15 @@ value differs is listed with list indices written ``[]`` (for example
 ``reports[].context.refined.degree``), with the number of calls where it
 differs and, for numbers, the largest relative drift.
 
+Then the change's tree runs the grid's ``verify`` calls once more, in order,
+in one more interpreter without clearing the memo, so later calls reuse the
+spaces of earlier ones.  Each of these warm records (exit code, stderr
+lines, warnings, document) must equal the call's cold record.
+
 The first line printed is the summary; ``--out`` writes the whole result as
-JSON.  The exit status is 1 when an exit code or a pass flag moved, or a
-verdict's list of check ids changed, and 0 otherwise.
+JSON.  The exit status is 1 when an exit code or a pass flag moved, a
+verdict's list of check ids changed, or a warm record differs from its cold
+one, and 0 otherwise.
 """
 from __future__ import annotations
 
@@ -106,8 +114,11 @@ def grid() -> list[list[str]]:
 # -- one tree: run in a fresh interpreter ------------------------------------
 
 
-def _run_call(argv: list[str]) -> dict:
-    from heatframe import cli
+def _run_call(argv: list[str], cold: bool) -> dict:
+    from heatframe import cli, geometry
+
+    if cold and hasattr(geometry.make_jacobi_space, "cache_clear"):
+        geometry.make_jacobi_space.cache_clear()
 
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
@@ -133,18 +144,19 @@ def _run_call(argv: list[str]) -> dict:
 
 
 def _child() -> int:
-    calls = json.load(sys.stdin)
-    json.dump([_run_call(argv) for argv in calls], sys.stdout)
+    job = json.load(sys.stdin)
+    json.dump([_run_call(argv, job["cold"]) for argv in job["calls"]], sys.stdout)
     return 0
 
 
-def run_tree(root: Path, calls: list[list[str]]) -> list[dict]:
-    """Each call's record, from one fresh interpreter on ``root/src``."""
+def run_tree(root: Path, calls: list[list[str]], cold: bool = True) -> list[dict]:
+    """Each call's record, from one fresh interpreter on ``root/src``; with
+    ``cold`` each call starts from an empty space memo."""
     env = dict(os.environ, PYTHONPATH=str(Path(root).resolve() / "src"))
     with tempfile.TemporaryDirectory() as cwd:
         done = subprocess.run(
             [sys.executable, str(Path(__file__).resolve()), "--child"],
-            input=json.dumps(calls),
+            input=json.dumps({"calls": calls, "cold": cold}),
             capture_output=True,
             text=True,
             env=env,
@@ -225,10 +237,21 @@ def _compare_documents(label: str, old: dict, new: dict, result: dict, index: in
         entry["max_drift"] = max(entry["max_drift"], _drift(x, y))
 
 
-def compare(calls: list[list[str]], base: list[dict], change: list[dict]) -> dict:
-    """Everything that differs between two trees' records of the same calls."""
+def verify_calls(calls: list[list[str]]) -> list[list[str]]:
+    return [argv for argv in calls if argv[0] == "verify"]
+
+
+def compare(calls: list[list[str]], base: list[dict], change: list[dict], warm: list[dict]) -> dict:
+    """Everything that differs between two trees' records of the same calls,
+    and the ``verify`` calls whose ``warm`` record differs from the change's
+    cold one."""
+    cold = [record for argv, record in zip(calls, change) if argv[0] == "verify"]
     result: dict = {
         "calls": len(calls),
+        "warm_calls": len(warm),
+        "warm_moved": [
+            " ".join(argv) for argv, old, new in zip(verify_calls(calls), cold, warm) if old != new
+        ],
         "documents": 0,
         "identical_documents": 0,
         "exit_moved": [],
@@ -258,8 +281,10 @@ def compare(calls: list[list[str]], base: list[dict], change: list[dict]) -> dic
 
 
 def status(result: dict) -> int:
-    """1 when an exit code or a pass flag moved, or a verdict's ids changed."""
-    return 1 if result["exit_moved"] or result["flags_moved"] or result["reports_moved"] else 0
+    """1 when an exit code or a pass flag moved, a verdict's ids changed, or a
+    warm record differs from its cold one."""
+    moved = ("exit_moved", "flags_moved", "reports_moved", "warm_moved")
+    return 1 if any(result[key] for key in moved) else 0
 
 
 def summary(result: dict) -> str:
@@ -272,7 +297,8 @@ def summary(result: dict) -> str:
         f"check lists {moved('reports_moved')}, stderr {moved('stderr_moved')}, "
         f"warnings {moved('warnings_moved')}, export files {moved('files_moved')}; "
         f"{result['identical_documents']} of {result['documents']} documents byte-identical; "
-        f"other paths that differ: {paths or 'none'}"
+        f"other paths that differ: {paths or 'none'}; "
+        f"{result['warm_calls']} warm verify re-runs {moved('warm_moved')}"
     )
 
 
@@ -281,6 +307,7 @@ def details(result: dict) -> list[str]:
     for bucket in ("flags_moved", *(bucket for _, bucket in _RECORD_FIELDS)):
         lines += [f"{bucket}: {json.dumps(item)}" for item in result[bucket]]
     lines += [f"reports_moved: {label}" for label in result["reports_moved"]]
+    lines += [f"warm_moved: {label}" for label in result["warm_moved"]]
     for check_id, entry in sorted(result["checks"].items()):
         if entry["pass_moved"] or any(entry[key] for key in _REPORT_NUMBERS):
             drifts = ", ".join(f"{key} {entry[key]:.2e}" for key in _REPORT_NUMBERS)
@@ -303,7 +330,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.base is None or args.change is None:
         parser.error("--base and --change are required")
     calls = grid()
-    result = compare(calls, run_tree(args.base, calls), run_tree(args.change, calls))
+    base = run_tree(args.base, calls)
+    change = run_tree(args.change, calls)
+    result = compare(calls, base, change, run_tree(args.change, verify_calls(calls), cold=False))
     print(summary(result))
     for line in details(result):
         print(line)

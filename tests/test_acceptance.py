@@ -54,6 +54,7 @@ def _degree_for(params: JacobiParams, t_min: float, tol: float = 1e-12) -> int:
 
 
 def test_criterion_01_markov_identity():
+    make_jacobi_space.cache_clear()  # the timing includes building the rules
     start = time.perf_counter()
     worst = 0.0
     for gamma, alpha in ((0.0, 0.0), (0.5, -0.3)):

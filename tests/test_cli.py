@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from heatframe import DomainError, load_net
 from heatframe import cli
+from heatframe.geometry import make_jacobi_space
 from heatframe.cli import RunConfig, build_parser, main
 from heatframe.reporting import CHECK_IDS
 
@@ -114,6 +116,82 @@ def test_decompose_command_writes_csv(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["j", "center_index", "coefficient"]
     assert len(rows) > 1
+
+
+WRITERS = [
+    ["verify", "--nodes", "48", "--degree", "30"],
+    ["kernel", "--nodes", "16", "--degree", "8", "--t", "0.9"],
+    ["net", "--nodes", "32", "--degree", "8", "--delta", "0.25"],
+    ["decompose", "--nodes", "32", "--degree", "12", "--basis-index", "3"],
+]
+
+
+def _written(argv, out) -> bytes:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, "--out", str(out)]) == 0
+    return Path(out).read_bytes()
+
+
+@pytest.mark.parametrize("argv", WRITERS, ids=[argv[0] for argv in WRITERS])
+def test_writing_over_an_old_file_gives_the_bytes_of_a_fresh_path(argv, tmp_path):
+    old = tmp_path / "old"
+    old.write_bytes(b"stale,\r\n" * 100_000)  # longer than any output, so truncation shows
+    assert _written(argv, old) == _written(argv, tmp_path / "fresh")
+
+
+@pytest.mark.parametrize("argv", [WRITERS[0], WRITERS[2]], ids=["verify", "net"])
+def test_out_to_a_device_writes_through_it(argv):
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, "--out", os.devnull]) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_out_through_a_symlink_writes_its_target(tmp_path):
+    target = tmp_path / "target.json"
+    target.write_text("stale\n" * 100_000, encoding="utf-8")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    fresh = _written(WRITERS[0], tmp_path / "fresh.json")
+    assert _written(WRITERS[0], link) == fresh
+    assert link.is_symlink() and target.read_bytes() == fresh
+
+
+def test_out_replaces_the_file_so_other_hard_links_keep_the_old_copy(tmp_path):
+    out = tmp_path / "net.json"
+    out.write_text("old\n", encoding="utf-8")
+    os.link(out, tmp_path / "other.json")
+    fresh = _written(WRITERS[2], out)
+    assert fresh.startswith(b"{") and (tmp_path / "other.json").read_text(encoding="utf-8") == "old\n"
+
+
+VERDICTS = [
+    ["verify", "--gamma", "1.5", "--alpha", "-0.5", "--nodes", "96", "--degree", "76", "--seed", "3"],
+    ["verify", "--nodes", "64", "--degree", "51", "--delta", "0.3", "--t", "0.1", "--seed", "5"],
+]
+
+
+def test_interleaved_verdicts_equal_their_runs_on_a_cleared_memo(tmp_path):
+    cold = []
+    for k, argv in enumerate(VERDICTS):
+        make_jacobi_space.cache_clear()
+        cold.append(_written(argv, tmp_path / f"cold{k}.json"))
+    make_jacobi_space.cache_clear()
+    for rounds in range(2):
+        for k, argv in enumerate(VERDICTS):
+            assert _written(argv, tmp_path / f"warm{k}.json") == cold[k], (rounds, argv)
+    assert make_jacobi_space.cache_info().hits >= 2 * len(VERDICTS)  # the second round built no space
+
+
+def test_seeds_of_one_config_share_the_memoised_radii(tmp_path):
+    # The radii of the memoised volume vectors come from delta and the fixed
+    # t grids, so verdicts that differ only in seed add none.
+    make_jacobi_space.cache_clear()
+    radii = []
+    for seed in ("1", "2", "3"):
+        _written([*VERDICTS[1][:-1], seed], tmp_path / "v.json")
+        radii.append([sorted(make_jacobi_space(0.0, 0.0, n)._node_ball_volumes) for n in (64, 128)])
+    assert radii[0][0] and radii[0] == radii[1] == radii[2]
 
 
 def test_domain_error_exits_with_code_two(tmp_path, capsys):

@@ -270,3 +270,35 @@ def test_ball_growth_reports_pass(legendre_space):
         "growth.floor",
     }
 
+
+
+def test_space_arrays_are_read_only():
+    space = make_jacobi_space(1.5, -0.5, 64)
+    for array in (space.points, space.weights, space._theta, *space._sorted_nodes):
+        with pytest.raises(ValueError):
+            array[0] = 0.5
+        with pytest.raises(ValueError):
+            array *= 2.0
+
+
+def test_a_space_leaves_the_callers_arrays_writable():
+    points, weights = np.array([-1.0, 0.0, 1.0]), np.ones(3)
+    MetricMeasureSpace(points, weights)
+    points[0] = -0.5
+    weights *= 2.0
+
+
+def test_the_memo_returns_one_space_per_rule():
+    assert make_jacobi_space(3.0, -0.5, 48) is make_jacobi_space(3.0, -0.5, 48)
+    assert make_jacobi_space(3.0, -0.5, 48) is not make_jacobi_space(3.0, -0.5, 49)
+
+
+def test_arguments_equal_as_keys_build_the_same_rule_bitwise():
+    # The memo gives (-0.0, 0.0, 64), (0, 0, 64) and (0.0, 0.0, 64) one
+    # entry, so whichever is built first must be the rule of all three.
+    rules = []
+    for args in ((0.0, 0.0, 64), (-0.0, 0.0, 64), (0, 0, 64), (0.0, -0.0, 64)):
+        make_jacobi_space.cache_clear()
+        space = make_jacobi_space(*args)
+        rules.append(b"".join(a.tobytes() for a in (space.points, space.weights, space._theta)))
+    assert rules[1:] == rules[:1] * 3

@@ -241,6 +241,32 @@ def test_holder_requires_admissible_triples(legendre_basis):
         verify_holder(legendre_basis, (0.1,), [(0.0, 0.99, -0.99)], decay_rate=0.5)
 
 
+def _csv_writer_oracle(table, path):
+    """The writer ``kernel_to_csv`` replaced: one ``csv.writer`` row per entry."""
+    n = table.shape[0]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x_index", "y_index", "value"])
+        for i in range(n):
+            for j in range(n):
+                writer.writerow([str(i), str(j), repr(float(table[i, j]))])
+
+
+def test_kernel_csv_bytes_match_the_csv_writer(tmp_path, legendre_basis):
+    edge = np.array(
+        [
+            [-0.0, 5e-324, 1e308, -1.5],
+            [2.2250738585072014e-308, -1e308, 0.1, -2.5e-310],
+            [1.0, -0.0, 123456789.0, -1e-5],
+            [0.0, -7e-320, 1.7976931348623157e308, 3.0],
+        ]
+    )
+    for k, table in enumerate((edge, heat_kernel(legendre_basis, 0.5))):
+        kernel_to_csv(table, str(tmp_path / f"new{k}.csv"))
+        _csv_writer_oracle(table, tmp_path / f"old{k}.csv")
+        assert (tmp_path / f"new{k}.csv").read_bytes() == (tmp_path / f"old{k}.csv").read_bytes()
+
+
 def test_kernel_csv_round_trip(tmp_path, legendre_basis):
     kernel = heat_kernel(legendre_basis, 0.5)
     path = tmp_path / "kernel.csv"

@@ -3,7 +3,7 @@ Gram matrix: each phase that once built one stays below that size."""
 
 import tracemalloc
 
-from heatframe import cli, heat, jacobi, operators
+from heatframe import cli, geometry, heat, jacobi, operators
 
 NODES, DEGREE = 1024, 800
 PHASES = (
@@ -38,6 +38,7 @@ def test_verify_at_1024_nodes_allocates_no_table_of_all_pairs(monkeypatch, tmp_p
     for module, name in PHASES:
         watch(module, name)
     monkeypatch.setattr(heat, "heat_kernel", no_dense_table)
+    geometry.make_jacobi_space.cache_clear()  # a cold verdict, as a one-shot run pays it
     tracemalloc.start()
     try:
         code = cli.main(["verify", "--nodes", str(NODES), "--degree", str(DEGREE), "--out", str(tmp_path / "v.json")])

@@ -109,6 +109,7 @@ def test_partition_rejects_a_net_that_is_not_separated_or_not_maximal():
 
 def test_net_command_peaks_below_one_dense_table(tmp_path):
     # one 2048 x 2048 float64 table is 33.5 MB
+    make_jacobi_space.cache_clear()  # the rule is built under the trace
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(io.StringIO()):

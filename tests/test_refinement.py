@@ -14,7 +14,7 @@ from heatframe import (
     verify_holder,
     verify_poincare,
 )
-from heatframe import cli, jacobi
+from heatframe import cli, geometry, jacobi
 from heatframe.cli import GAUSS_T_GRID, RunConfig
 from heatframe.jacobi import POINCARE_DEGREE
 
@@ -85,6 +85,7 @@ def test_refinement_build_memory():
     # and recurrence block come to about 6 MiB, against 25 MiB when the
     # Gram check covered all 1639 rows of degree 1638.
     config = RunConfig(n_nodes=1024, degree=819)
+    geometry.make_jacobi_space.cache_clear()  # the 2048-node rule is built under the trace
     tracemalloc.start()
     try:
         basis = cli._build(config, doubled=True)

@@ -71,8 +71,9 @@ def test_traced_run_calls_every_wrapped_layer(tmp_path):
     layer metric goes missing and none but ``geometry.dense_bytes`` reads 0.
     That one counts cached N x N distance tables, and the program builds
     none."""
-    from heatframe import cli
+    from heatframe import cli, geometry
 
+    geometry.make_jacobi_space.cache_clear()  # the rules are built, so gauss_nodes is reached
     tracer = _load_tracer().Tracer()
     runs = [
         (["verify", "--nodes", "48", "--degree", "30", "--out", str(tmp_path / "v.json")], 96),
