@@ -102,8 +102,20 @@ class RunConfig:
         )
 
 
-def _build(config: RunConfig, *, doubled: bool = False) -> jacobi.SpectralBasis:
-    """The configured basis, or its refinement on twice the nodes.
+def _build(config: RunConfig) -> jacobi.SpectralBasis:
+    """The configured basis, built on every call."""
+    space = geometry.make_jacobi_space(config.gamma, config.alpha, config.n_nodes)
+    return jacobi.build_basis(space, jacobi.JacobiParams(config.gamma, config.alpha), config.degree)
+
+
+# At most one entry: the last verdict's (space, refinement space, weight,
+# degree, bases).
+_KEPT: list[tuple] = []
+
+
+def _verdict_bases(config: RunConfig) -> tuple[jacobi.SpectralBasis, jacobi.SpectralBasis]:
+    """The verdict's basis and its refinement on twice the nodes, kept one
+    verdict deep.
 
     The refinement serves the Gaussian and Hoelder fits, which read the rows
     ``heat.factored_kernel`` keeps at the smallest fit time (those whose
@@ -111,21 +123,37 @@ def _build(config: RunConfig, *, doubled: bool = False) -> jacobi.SpectralBasis:
     which reads rows 0..jacobi.POINCARE_DEGREE.  Its degree is the last of
     those rows, capped at twice the configured degree and at the rule's
     exactness limit.
+
+    The next verdict on the same two memoised space objects (matched by
+    identity), weight and degree gets the same pair, Gram checks included.
+    Any other verdict drops the pair before it builds its own, and
+    ``make_jacobi_space.cache_clear()`` resets it, since new spaces never
+    match.  The arrays are read-only, so no verdict can change what the next
+    one reads.
     """
-    scale = 2 if doubled else 1
-    nodes = scale * config.n_nodes
-    space = geometry.make_jacobi_space(config.gamma, config.alpha, nodes)
+    space = geometry.make_jacobi_space(config.gamma, config.alpha, config.n_nodes)
+    fine_space = geometry.make_jacobi_space(config.gamma, config.alpha, 2 * config.n_nodes)
     params = jacobi.JacobiParams(config.gamma, config.alpha)
-    degree = min(scale * config.degree, nodes - 1)
-    if doubled:
-        live = int(np.count_nonzero(np.exp(-jacobi.eigenvalues(params, degree) * min(GAUSS_T_GRID))))
-        degree = min(degree, max(jacobi.POINCARE_DEGREE + 1, live) - 1)
-    return jacobi.build_basis(space, params, degree)
+    for kept_space, kept_fine, kept_params, kept_degree, bases in _KEPT:
+        if kept_space is space and kept_fine is fine_space and (kept_params, kept_degree) == (params, config.degree):
+            return bases
+    _KEPT.clear()
+    fine_degree = min(2 * config.degree, fine_space.n - 1)
+    live = int(np.count_nonzero(np.exp(-jacobi.eigenvalues(params, fine_degree) * min(GAUSS_T_GRID))))
+    fine_degree = min(fine_degree, max(jacobi.POINCARE_DEGREE + 1, live) - 1)
+    bases = (
+        jacobi.build_basis(space, params, config.degree),
+        jacobi.build_basis(fine_space, params, fine_degree),
+    )
+    for basis in bases:
+        basis.values.flags.writeable = False
+        basis.eigenvalues.flags.writeable = False
+    _KEPT.append((space, fine_space, params, config.degree, bases))
+    return bases
 
 
 def _theta_range(space: geometry.MetricMeasureSpace) -> tuple[float, float]:
-    theta = np.arccos(space.points)
-    return float(theta.min()), float(theta.max())
+    return float(space._theta[-1]), float(space._theta[0])
 
 
 def _sample_coords(space: geometry.MetricMeasureSpace, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -141,7 +169,7 @@ def _profile(space: geometry.MetricMeasureSpace, rng: np.random.Generator) -> ge
 def run_verify(config: RunConfig) -> int:
     config.validate()
     rng = np.random.default_rng(config.seed)
-    basis = _build(config)
+    basis, basis_fine = _verdict_bases(config)
     space = basis.space
     profile = _profile(space, rng)
     k = config.k_override if config.k_override is not None else profile.k
@@ -202,7 +230,6 @@ def run_verify(config: RunConfig) -> int:
     decay_rate = float(gauss_base.context["a"])
     holder_base = heat.verify_holder(basis, GAUSS_T_GRID, holder_triples, decay_rate=decay_rate)
     reports.append(holder_base)
-    basis_fine = _build(config, doubled=True)
     gauss_fine = heat.fit_gaussian_bounds(basis_fine, GAUSS_T_GRID, gauss_pairs)
     reports.append(
         compare_stability(

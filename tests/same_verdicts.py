@@ -9,7 +9,10 @@ interpreter with ``PYTHONPATH=DIR/src``, every call in process through
 ``heatframe.cli.main`` with its output written to a temporary file and its
 warnings recorded.  Each call starts from an empty quadrature-space memo
 (``geometry.make_jacobi_space.cache_clear()``, where the tree has one), as a
-one-shot CLI run does.  The grid is fixed and never chosen by outcome:
+one-shot CLI run does.  That "cold" start also empties, in effect, the
+slot of bases ``verify`` keeps one verdict deep: the slot is keyed by the
+memoised space objects, and new ones never match it.  The grid is fixed and
+never chosen by outcome:
 
 - every call of the golden corpus (``golden_corpus.CALLS``);
 - the ``verify_sweep`` and ``verify_large`` operations the benchmark draws
@@ -27,8 +30,9 @@ differs and, for numbers, the largest relative drift.
 
 Then the change's tree runs the grid's ``verify`` calls once more, in order,
 in one more interpreter without clearing the memo, so later calls reuse the
-spaces of earlier ones.  Each of these warm records (exit code, stderr
-lines, warnings, document) must equal the call's cold record.
+spaces of earlier ones, and a call that repeats the previous call's weight,
+nodes and degree reuses its bases.  Each of these warm records (exit code,
+stderr lines, warnings, document) must equal the call's cold record.
 
 The first line printed is the summary; ``--out`` writes the whole result as
 JSON.  The exit status is 1 when an exit code or a pass flag moved, a

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from heatframe import DomainError, load_net
-from heatframe import cli
+from heatframe import cli, jacobi
 from heatframe.geometry import make_jacobi_space
 from heatframe.cli import RunConfig, build_parser, main
 from heatframe.reporting import CHECK_IDS
@@ -171,18 +171,6 @@ VERDICTS = [
 ]
 
 
-def test_interleaved_verdicts_equal_their_runs_on_a_cleared_memo(tmp_path):
-    cold = []
-    for k, argv in enumerate(VERDICTS):
-        make_jacobi_space.cache_clear()
-        cold.append(_written(argv, tmp_path / f"cold{k}.json"))
-    make_jacobi_space.cache_clear()
-    for rounds in range(2):
-        for k, argv in enumerate(VERDICTS):
-            assert _written(argv, tmp_path / f"warm{k}.json") == cold[k], (rounds, argv)
-    assert make_jacobi_space.cache_info().hits >= 2 * len(VERDICTS)  # the second round built no space
-
-
 def test_seeds_of_one_config_share_the_memoised_radii(tmp_path):
     # The radii of the memoised volume vectors come from delta and the fixed
     # t grids, so verdicts that differ only in seed add none.
@@ -192,6 +180,79 @@ def test_seeds_of_one_config_share_the_memoised_radii(tmp_path):
         _written([*VERDICTS[1][:-1], seed], tmp_path / "v.json")
         radii.append([sorted(make_jacobi_space(0.0, 0.0, n)._node_ball_volumes) for n in (64, 128)])
     assert radii[0][0] and radii[0] == radii[1] == radii[2]
+
+
+# the second runs on the first's spaces and weight: -0.0 and 0.0 share them
+ZERO_TWINS = [
+    ["verify", "--nodes", "65", "--degree", "52", "--seed", "2"],
+    ["verify", "--gamma", "-0.0", "--alpha", "-0.0", "--nodes", "65", "--degree", "52", "--seed", "2"],
+]
+
+
+def test_interleaved_verdicts_equal_their_runs_on_a_cleared_memo(tmp_path):
+    calls = [*VERDICTS, *ZERO_TWINS]
+    cold = []
+    for k, argv in enumerate(calls):
+        make_jacobi_space.cache_clear()
+        cold.append(_written(argv, tmp_path / f"cold{k}.json"))
+    make_jacobi_space.cache_clear()
+    # each verdict after another one (new bases) and after itself or its twin (kept bases)
+    for k in (0, 1, 0, 0, 1, 1, 2, 3, 3, 2):
+        assert _written(calls[k], tmp_path / "warm.json") == cold[k], calls[k]
+    assert make_jacobi_space.cache_info().hits >= 2 * len(VERDICTS)  # the repeats built no space
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Node counts of the bases ``build_basis`` builds, in call order."""
+    sizes = []
+    build = jacobi.build_basis
+
+    def counted(space, params, degree):
+        sizes.append(space.n)
+        return build(space, params, degree)
+
+    monkeypatch.setattr(jacobi, "build_basis", counted)
+    return sizes
+
+
+def test_a_repeated_verdict_builds_no_basis_until_the_memo_is_cleared(builds, tmp_path):
+    argv = VERDICTS[1]
+    make_jacobi_space.cache_clear()
+    _written(argv, tmp_path / "v.json")
+    assert builds == [64, 128]
+    _written(argv, tmp_path / "v.json")
+    _written([*argv[:-1], "6"], tmp_path / "v.json")  # another seed, the same bases
+    assert builds == [64, 128]
+    make_jacobi_space.cache_clear()
+    _written(argv, tmp_path / "v.json")
+    assert builds == [64, 128, 64, 128]
+
+
+@pytest.mark.parametrize("argv", [WRITERS[1], WRITERS[3]], ids=["kernel", "decompose"])
+def test_kernel_and_decompose_build_their_basis_on_every_run(argv, builds, tmp_path):
+    for runs in range(1, 4):
+        _written(argv, tmp_path / "out")
+        assert len(builds) == runs
+
+
+def test_kept_bases_are_read_only():
+    for basis in cli._verdict_bases(RunConfig(n_nodes=64, degree=51)):
+        with pytest.raises(ValueError):
+            basis.values[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            basis.values *= 1.0
+        with pytest.raises(ValueError):
+            basis.eigenvalues[0] = 1.0
+
+
+def test_an_error_outside_the_library_propagates_out_of_main(monkeypatch):
+    def broken(config):
+        raise RuntimeError("not a HeatframeError")
+
+    monkeypatch.setattr(cli, "run_net", broken)
+    with pytest.raises(RuntimeError, match="not a HeatframeError"):
+        main(["net"])
 
 
 def test_domain_error_exits_with_code_two(tmp_path, capsys):
@@ -296,7 +357,7 @@ def test_non_finite_value_or_negative_seed_ends_in_one_domain_error(command, ext
 
 def test_too_low_verify_degree_fails_before_any_phase(monkeypatch, capsys):
     built = []
-    monkeypatch.setattr(cli, "_build", lambda config: built.append(config))
+    monkeypatch.setattr(cli, "_verdict_bases", lambda config: built.append(config))
     assert main(["verify", "--nodes", "64", "--degree", "10"]) == 2
     err = capsys.readouterr().err
     errors = [line for line in err.splitlines() if line.startswith("error:")]

@@ -38,7 +38,7 @@ def test_verify_at_1024_nodes_allocates_no_table_of_all_pairs(monkeypatch, tmp_p
     for module, name in PHASES:
         watch(module, name)
     monkeypatch.setattr(heat, "heat_kernel", no_dense_table)
-    geometry.make_jacobi_space.cache_clear()  # a cold verdict, as a one-shot run pays it
+    geometry.make_jacobi_space.cache_clear()  # a cold verdict, as a one-shot run pays it: new spaces, new bases
     tracemalloc.start()
     try:
         code = cli.main(["verify", "--nodes", str(NODES), "--degree", str(DEGREE), "--out", str(tmp_path / "v.json")])
@@ -52,6 +52,9 @@ def test_verify_at_1024_nodes_allocates_no_table_of_all_pairs(monkeypatch, tmp_p
     # The refinement: 2048 nodes at degree 121, the 122 rows its fits read;
     # about 6 MiB, against 24 MiB when it checked the Gram matrix of all
     # 1601 rows of degree 1600.
+    # The verdict is cold, so it builds its base basis as well: a kept pair
+    # would leave nothing here to measure.
+    assert sorted(n for n, _ in peaks["build_basis"]) == [NODES, 2 * NODES]
     refined = [peak for n, peak in peaks["build_basis"] if n == 2 * NODES]
     assert len(refined) == 1
     assert refined[0] < jacobi._BLOCK_BYTES

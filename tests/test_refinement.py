@@ -24,7 +24,7 @@ WEIGHT = JacobiParams(CONFIG.gamma, CONFIG.alpha)
 
 @pytest.fixture(scope="module")
 def refined():
-    return cli._build(CONFIG, doubled=True)
+    return cli._verdict_bases(CONFIG)[1]
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +35,7 @@ def full(refined):
 
 def test_every_built_basis_holds_one_row_per_eigenvalue(refined):
     base = cli._build(CONFIG)
+    assert cli._verdict_bases(CONFIG)[0].values.tobytes() == base.values.tobytes()
     assert (base.space.n, base.degree) == (128, 102)
     live = int(np.count_nonzero(np.exp(-refined.eigenvalues * min(GAUSS_T_GRID))))
     assert (refined.space.n, refined.degree) == (256, max(POINCARE_DEGREE + 1, live) - 1) == (256, 121)
@@ -79,19 +80,35 @@ def test_fits_on_the_refinement_match_the_full_table(refined, full):
     assert poincare[0].context["K_fit"] == pytest.approx(poincare[1].context["K_fit"], rel=1e-12)
 
 
-def test_refinement_build_memory():
+def test_refinement_build_memory(monkeypatch):
     # The refinement of 1024 nodes at degree 819 has 2048 nodes; its fits
     # read 122 rows, so it is built at degree 121.  Its table, Gram panels
     # and recurrence block come to about 6 MiB, against 25 MiB when the
     # Gram check covered all 1639 rows of degree 1638.
     config = RunConfig(n_nodes=1024, degree=819)
+    peaks = []
+    build = jacobi.build_basis
+
+    def traced(space, params, degree):
+        entry, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        basis = build(space, params, degree)
+        _, peak = tracemalloc.get_traced_memory()
+        peaks.append((space.n, peak - entry))
+        return basis
+
+    monkeypatch.setattr(jacobi, "build_basis", traced)
     geometry.make_jacobi_space.cache_clear()  # the 2048-node rule is built under the trace
     tracemalloc.start()
     try:
-        basis = cli._build(config, doubled=True)
-        _, peak = tracemalloc.get_traced_memory()
+        geometry.make_jacobi_space(config.gamma, config.alpha, 2 * config.n_nodes)
+        rule_kept, rule_peak = tracemalloc.get_traced_memory()
+        base, basis = cli._verdict_bases(config)
     finally:
         tracemalloc.stop()
+    assert (base.space.n, base.degree) == (1024, 819)
     assert basis.degree == 121
     assert basis.values.shape == (122, 2048)
-    assert peak < jacobi._BLOCK_BYTES
+    assert [n for n, _ in peaks] == [1024, 2048]
+    # the rule's build, then its arrays held while the refinement is built
+    assert max(rule_peak, rule_kept + peaks[1][1]) < jacobi._BLOCK_BYTES
