@@ -35,6 +35,10 @@ from ._recurrence import gauss_nodes
 from .errors import ContractError, DomainError, SamplingError
 from .reporting import VerificationReport, make_report
 
+# ball_volumes_at_nodes vectors kept per space; the golden and benchmark
+# verdicts ask for at most 8 radii of one space
+BALL_VOLUME_MEMO = 16
+
 
 @dataclass(frozen=True)
 class MetricMeasureSpace:
@@ -80,7 +84,8 @@ class MetricMeasureSpace:
 
     @cached_property
     def _node_ball_volumes(self) -> dict[float, np.ndarray]:
-        """Read-only ball_volumes_at_nodes vectors, by radius."""
+        """Read-only ball_volumes_at_nodes vectors, by radius, in insertion
+        order: at most BALL_VOLUME_MEMO of them."""
         return {}
 
     @cached_property
@@ -137,13 +142,18 @@ def ball_volumes_at_nodes(space: MetricMeasureSpace, r: float) -> np.ndarray:
     """``ball_volume`` at every node for one radius.
 
     The vector is memoised on the space per radius and returned read-only:
-    a verdict asks for the same few radii many times.
+    a verdict asks for the same few radii many times.  A space keeps the
+    BALL_VOLUME_MEMO radii stored last and drops the oldest first, so a
+    process that sweeps delta over one memoised space holds a bounded memo.
     """
     r = float(r)
-    volumes = space._node_ball_volumes.get(r)
+    memo = space._node_ball_volumes
+    volumes = memo.get(r)
     if volumes is None:
         volumes = _read_only(ball_volume(space, np.arange(space.n), r))
-        space._node_ball_volumes[r] = volumes
+        if len(memo) >= BALL_VOLUME_MEMO:
+            del memo[next(iter(memo))]
+        memo[r] = volumes
     return volumes
 
 

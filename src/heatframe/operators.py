@@ -12,8 +12,9 @@ A Schur test is provided alongside as the measured counterpart: bounded
 weighted L^r norms of rows and columns give ||H f||_q <= C ||f||_p for the
 same exponent relation, with C read off the kernel rather than printed.  The
 table and the envelope are exactly symmetric, so the domination constant a'
-and the Schur norms are taken over blocks of the upper triangle
-(``FactoredKernel.upper_row_blocks``), one block of at most 1 MiB at a time.
+and the Schur norms for r in {1, 2, inf} are taken in one pass over blocks of
+the upper triangle (``FactoredKernel.upper_row_blocks``), one block of at
+most 1 MiB at a time, when the operator is built.
 
 Band decomposition splits the spectrum dyadically: block 0 holds beta <= 1
 and block j holds 2^(2(j-1)) < beta <= 2^(2j).  The block projectors are
@@ -43,13 +44,17 @@ from .reporting import VerificationReport, make_report, open_output
 @dataclass(frozen=True)
 class KernelOperator:
     """Factored kernel H with its tight domination constant: |H| <= a_prime * E
-    at every node pair, for the envelope E of ``params``."""
+    at every node pair, for the envelope E of ``params``.  ``schur_norms``
+    maps each r of SCHUR_ORDERS to the Schur constant C: the largest weighted
+    L^r norm of a row of H (the rows are its columns)."""
 
     kernel: FactoredKernel
     a_prime: float
     params: EnvelopeParams
+    schur_norms: dict[float, float]
 
 
+SCHUR_ORDERS = (1.0, 2.0, math.inf)
 BAND_TOL = 1e-10  # Parseval and reconstruction defects, relative to max(1, size of f)
 
 
@@ -58,27 +63,48 @@ def _check_kernel_space(space: MetricMeasureSpace, kernel: FactoredKernel) -> No
         raise ContractError("kernel must cover all node pairs of the space")
 
 
+def _add_row_sums(sums: np.ndarray, w: np.ndarray, rows: slice, block: np.ndarray) -> None:
+    """Add an upper-triangle block's weighted sums to ``sums``.  The table is
+    exactly symmetric, so its row sums are its column sums: a block adds its
+    row sums to its rows, and the column sums of its part right of the
+    diagonal to the rows those columns mirror."""
+    sums[rows] += block @ w[rows.start :]
+    sums[rows.stop :] += w[rows] @ block[:, rows.stop - rows.start :]
+
+
 def dominated_operator(space: MetricMeasureSpace, kernel: FactoredKernel, params: EnvelopeParams) -> KernelOperator:
-    """The kernel with a_prime = max |H| / E over every node pair.
+    """The kernel with a_prime = max |H| / E over every node pair, and its
+    Schur norms for r in SCHUR_ORDERS, from one pass over the blocks of the
+    upper triangle.
 
     Where (1 + d/delta)^-sigma_exp underflows and H does not vanish, a_prime
     is infinite: a PreconditionError, since no mapping bound follows.
     """
     _check_kernel_space(space, kernel)
     nodes = np.arange(space.n)
-    # per-entry arithmetic of the whole-table form, and |H| / E is exactly
-    # symmetric, so the max over the upper triangle is bitwise the same
-    with np.errstate(divide="ignore", over="ignore"):
-        a_prime = float(np.max([
-            (np.abs(block, out=block) / envelope(space, params, nodes[rows, None], nodes[rows.start :])).max()
-            for rows, block in kernel.upper_row_blocks()
-        ]))
+    w = space.weights
+    ratio_maxima = []
+    largest = 0.0
+    sums = np.zeros(space.n)
+    square_sums = np.zeros(space.n)
+    for rows, block in kernel.upper_row_blocks():
+        np.abs(block, out=block)
+        # per-entry arithmetic of the whole-table form, and |H| / E is exactly
+        # symmetric, so the max over the upper triangle is bitwise the same
+        with np.errstate(divide="ignore", over="ignore"):
+            ratio_maxima.append((block / envelope(space, params, nodes[rows, None], nodes[rows.start :])).max())
+        largest = max(largest, float(block.max()))
+        _add_row_sums(sums, w, rows, block)
+        block **= 2.0
+        _add_row_sums(square_sums, w, rows, block)
+    a_prime = float(np.max(ratio_maxima))
     if math.isinf(a_prime):
         raise PreconditionError(
             f"envelope (1 + d/delta)^-sigma underflows at sigma = {params.sigma_exp:g} where the kernel is nonzero, "
             f"so a' = max |H|/E is infinite; the mapping bound is vacuous"
         )
-    return KernelOperator(kernel=kernel, a_prime=a_prime, params=params)
+    schur_norms = {1.0: float(sums.max()), 2.0: float(square_sums.max()) ** 0.5, math.inf: largest}
+    return KernelOperator(kernel=kernel, a_prime=a_prime, params=params, schur_norms=schur_norms)
 
 
 def apply_operator(space: MetricMeasureSpace, op: KernelOperator, f: np.ndarray) -> np.ndarray:
@@ -186,28 +212,20 @@ def verify_schur(
     trials: np.ndarray,
 ) -> VerificationReport:
     """Schur test: C = max weighted L^r norm over rows and columns bounds
-    ||H f||_q / ||f||_p whenever 1/p - 1/q = 1 - 1/r."""
+    ||H f||_q / ||f||_p whenever 1/p - 1/q = 1 - 1/r.
+
+    C is the operator's own ``schur_norms[r]``, taken when it was built, so r
+    must be one of SCHUR_ORDERS: 1, 2 or inf.
+    """
     inv_p = _exponent_inverse(p)
     inv_q = _exponent_inverse(q)
     inv_r = _exponent_inverse(r)
     if abs((inv_p - inv_q) - (1.0 - inv_r)) > 1e-12:
         raise DomainError("exponents must satisfy 1/p - 1/q = 1 - 1/r")
+    if r not in SCHUR_ORDERS:
+        raise DomainError(f"Schur norms are taken for r in {SCHUR_ORDERS}, not r = {r:g}")
     _check_kernel_space(space, op.kernel)
-    w = space.weights
-    # The table is exactly symmetric, so its row norms are its column norms.
-    # A block adds its row sums to its rows, and the column sums of its part
-    # right of the diagonal square to the rows those columns mirror.
-    largest = 0.0
-    powered_sums = np.zeros(space.n)
-    for rows, block in op.kernel.upper_row_blocks():
-        np.abs(block, out=block)
-        if math.isinf(r):
-            largest = max(largest, float(block.max()))
-            continue
-        block **= r
-        powered_sums[rows] += block @ w[rows.start :]
-        powered_sums[rows.stop :] += w[rows] @ block[:, rows.stop - rows.start :]
-    C = largest if math.isinf(r) else float(powered_sums.max()) ** (1.0 / r)
+    C = op.schur_norms[r]
     worst, n_trials = _worst_ratio(space, op, p, q, trials)
     return make_report(
         "schur",

@@ -15,6 +15,8 @@ memoised space objects, and new ones never match it.  The grid is fixed and
 never chosen by outcome:
 
 - every call of the golden corpus (``golden_corpus.CALLS``);
+- the envelope-underflow reproducers (``UNDERFLOW_CALLS``), which end in
+  exit 2 inside ``operators.dominated_operator``;
 - the ``verify_sweep`` and ``verify_large`` operations the benchmark draws
   for seeds 1-3 (``perfbench/workloads.py`` of this repository);
 - a random grid over (gamma, alpha, nodes, delta, t, sigma, seed) drawn from
@@ -65,6 +67,11 @@ RANDOM_CALLS = 16
 RANDOM_NODES = (48, 64, 80, 96, 128)
 RANDOM_DELTAS = (0.1, 0.2, 0.3, 0.4)
 RANDOM_TIMES = (0.1, 0.5, 1.0)
+# (1 + d/delta)^-sigma underflows where the kernel is nonzero: a' is infinite
+UNDERFLOW_CALLS = (
+    ("verify", "--sigma", "300"),
+    ("verify", "--nodes", "30", "--degree", "29", "--k-override", "150"),
+)
 
 _STDERR_PREFIXES = ("error:", "FAILED")
 _REPORT_NUMBERS = ("lhs", "rhs", "margin")
@@ -102,12 +109,13 @@ def _random_calls() -> list[list[str]]:
 
 
 def grid() -> list[list[str]]:
-    """The golden calls, the benchmark's verify operations, the random grid."""
+    """The golden calls, the underflow reproducers, the benchmark's verify
+    operations, the random grid."""
     sys.path[:0] = [str(HERE), str(ROOT / "perfbench")]
     import golden_corpus
     import workloads
 
-    calls = [list(argv) for argv in golden_corpus.CALLS]
+    calls = [list(argv) for argv in (*golden_corpus.CALLS, *UNDERFLOW_CALLS)]
     with tempfile.TemporaryDirectory() as out_dir:
         for name in BENCH_WORKLOADS:
             for seed in BENCH_SEEDS:

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from heatframe import DomainError, load_net
-from heatframe import cli, jacobi
+from heatframe import cli, geometry, heat, jacobi, operators
 from heatframe.geometry import make_jacobi_space
 from heatframe.cli import RunConfig, build_parser, main
 from heatframe.reporting import CHECK_IDS
@@ -180,6 +180,55 @@ def test_seeds_of_one_config_share_the_memoised_radii(tmp_path):
         _written([*VERDICTS[1][:-1], seed], tmp_path / "v.json")
         radii.append([sorted(make_jacobi_space(0.0, 0.0, n)._node_ball_volumes) for n in (64, 128)])
     assert radii[0][0] and radii[0] == radii[1] == radii[2]
+
+
+@pytest.mark.filterwarnings("ignore::heatframe.TruncationWarning")  # delta 0.10 truncates at degree 51
+def test_a_sweep_over_delta_keeps_a_bounded_volume_memo(tmp_path):
+    # Each new delta adds up to three radii (delta / 2, delta, 2 delta) to the
+    # memoised space; past the cap the oldest are dropped, and a verdict
+    # that recomputes a dropped vector writes the bytes of a cleared memo.
+    make_jacobi_space.cache_clear()
+    argv = ["verify", "--nodes", "64", "--degree", "51"]
+    for k in range(20):
+        last = [*argv, "--delta", f"{0.10 + 0.02 * k:.2f}"]
+        swept = _written(last, tmp_path / "v.json")
+    assert len(make_jacobi_space(0.0, 0.0, 64)._node_ball_volumes) == geometry.BALL_VOLUME_MEMO
+    make_jacobi_space.cache_clear()
+    assert _written(last, tmp_path / "cold.json") == swept
+
+
+def test_a_verdict_takes_one_pass_over_the_kernel_blocks(monkeypatch, tmp_path):
+    # a' and every Schur norm come from dominated_operator's one pass over
+    # the upper triangle; verify_schur reads them and builds no block
+    inside: list[str] = []
+    entered: list[str] = []
+    passes: list[tuple[str, ...]] = []
+    upper_row_blocks = heat.FactoredKernel.upper_row_blocks
+
+    def counted(kernel):
+        passes.append(tuple(inside))
+        return upper_row_blocks(kernel)
+
+    def traced(fn):
+        def call(*args, **kwargs):
+            entered.append(fn.__name__)
+            inside.append(fn.__name__)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        return call
+
+    monkeypatch.setattr(heat.FactoredKernel, "upper_row_blocks", counted)
+    for name in ("dominated_operator", "verify_schur"):
+        monkeypatch.setattr(operators, name, traced(getattr(operators, name)))
+    for argv in VERDICTS:
+        entered.clear()
+        passes.clear()
+        _written(argv, tmp_path / "v.json")
+        assert entered == ["dominated_operator", *["verify_schur"] * len(cli.SCHUR_EXPONENTS)], argv
+        assert passes == [("dominated_operator",)], argv
 
 
 # the second runs on the first's spaces and weight: -0.0 and 0.0 share them

@@ -17,7 +17,7 @@ from heatframe import (
     make_jacobi_space,
     verify_ball_growth,
 )
-from heatframe.geometry import ball_members
+from heatframe.geometry import BALL_VOLUME_MEMO, ball_members
 
 
 def _three_point_space(weights=(1.0, 2.0, 4.0)):
@@ -115,6 +115,21 @@ def test_ball_volumes_at_nodes_matches_pointwise(legendre_space):
     vols = ball_volumes_at_nodes(legendre_space, r)
     expected = [ball_volume(legendre_space, i, r) for i in range(legendre_space.n)]
     assert vols == pytest.approx(expected, rel=1e-15)
+
+
+def test_ball_volume_memo_drops_the_oldest_radius_first():
+    space = MetricMeasureSpace(points=np.linspace(-0.9, 0.9, 16), weights=np.ones(16))
+    radii = [0.05 * (k + 1) for k in range(BALL_VOLUME_MEMO + 2)]
+    for r in radii[:BALL_VOLUME_MEMO]:
+        ball_volumes_at_nodes(space, r)
+    ball_volumes_at_nodes(space, radii[0])  # a hit moves nothing: no LRU reordering
+    for r in radii[BALL_VOLUME_MEMO:]:
+        ball_volumes_at_nodes(space, r)
+    assert list(space._node_ball_volumes) == radii[2:]
+    # a dropped radius is computed again, to the same vector
+    again = ball_volumes_at_nodes(space, radii[0])
+    assert list(space._node_ball_volumes) == [*radii[3:], radii[0]]
+    assert np.array_equal(again, ball_volume(space, np.arange(16), radii[0]))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -32,6 +32,8 @@ from heatframe import (
     verify_schur,
     verify_young,
 )
+from heatframe import cli
+from heatframe.operators import SCHUR_ORDERS
 
 # an envelope at the fixture scale that dominates every kernel built here
 PARAMS = EnvelopeParams(delta=0.2, sigma_exp=5.0, k=2)
@@ -153,6 +155,46 @@ def test_factored_action_and_schur_constant_match_the_dense_table(gamma, alpha, 
         report = verify_schur(space, op, p, q, r, trials)
         assert report.rhs == pytest.approx(dense_C, rel=1e-13, abs=0.0)
         assert report.context["kernel_tail"] == op.kernel.tail
+
+
+def _schur_norm_by_its_own_pass(space, kernel, r):
+    """The Schur constant for one r from a pass of its own over the blocks:
+    the oracle for dominated_operator's one pass over every order."""
+    w = space.weights
+    largest = 0.0
+    powered_sums = np.zeros(space.n)
+    for rows, block in kernel.upper_row_blocks():
+        np.abs(block, out=block)
+        if math.isinf(r):
+            largest = max(largest, float(block.max()))
+            continue
+        block **= r
+        powered_sums[rows] += block @ w[rows.start :]
+        powered_sums[rows.stop :] += w[rows] @ block[:, rows.stop - rows.start :]
+    return largest if math.isinf(r) else float(powered_sums.max()) ** (1.0 / r)
+
+
+@pytest.mark.parametrize("gamma, alpha, nodes, degree", [(0.0, 0.0, 64, 40), (3.0, -0.5, 96, 76), (0.0, 0.0, 1024, 800)])
+def test_one_pass_schur_norms_equal_a_pass_per_order_bitwise(gamma, alpha, nodes, degree):
+    space = make_jacobi_space(gamma, alpha, nodes)
+    basis = build_basis(space, JacobiParams(gamma, alpha), degree)
+    kernel = factored_kernel(basis, 0.04)
+    op = dominated_operator(space, kernel, PARAMS)
+    assert tuple(op.schur_norms) == SCHUR_ORDERS
+    for r in SCHUR_ORDERS:
+        assert op.schur_norms[r] == _schur_norm_by_its_own_pass(space, kernel, r), r
+    trials = random_polynomials(basis, 2, 8, np.random.default_rng(5))
+    for p, q, r in ((2.0, 2.0, 1.0), (1.0, 2.0, 2.0), (1.0, math.inf, math.inf)):
+        assert verify_schur(space, op, p, q, r, trials).rhs == op.schur_norms[r], r
+
+
+def test_schur_orders_outside_the_one_pass_are_a_domain_error(legendre_space, legendre_basis, rng):
+    op = dominated_operator(legendre_space, factored_kernel(legendre_basis, 0.04), PARAMS)
+    trials = random_polynomials(legendre_basis, 2, 8, rng)
+    # 1/1.5 - 1/3 = 1 - 1/1.5: the exponents are related, but r = 1.5 has no norm
+    with pytest.raises(DomainError, match=r"r in \(1\.0, 2\.0, inf\), not r = 1\.5"):
+        verify_schur(legendre_space, op, 1.5, 3.0, 1.5, trials)
+    assert [r for _, _, r in cli.SCHUR_EXPONENTS if r not in SCHUR_ORDERS] == []
 
 
 def test_young_requires_wide_envelope_exponent(legendre_space, legendre_basis, rng):

@@ -78,6 +78,16 @@ def test_a_verdict_that_reads_the_memo_state_fails_the_warm_check(tmp_path):
     assert same_verdicts.summary(result).endswith("3 warm verify re-runs 2 moved")
 
 
+def test_the_grid_holds_the_envelope_underflow_exits():
+    calls = [list(argv) for argv in same_verdicts.UNDERFLOW_CALLS]
+    grid = same_verdicts.grid()
+    assert [argv for argv in calls if argv not in grid] == []
+    records = same_verdicts.run_tree(ROOT, calls)
+    assert [record["exit"] for record in records] == [2, 2]
+    for record in records:
+        assert len(record["stderr"]) == 1 and record["stderr"][0].startswith("error: envelope (1 + d/delta)^-sigma")
+
+
 def test_a_scaled_tolerance_moves_pass_flags(base, tmp_path):
     # The stability fits never gate the exit code, so only their flags move.
     tree = _copy(tmp_path)

@@ -11,6 +11,8 @@ import importlib
 import importlib.util
 import inspect
 import json
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -97,3 +99,27 @@ def test_traced_run_calls_every_wrapped_layer(tmp_path):
     assert names - {"trace.overhead"} <= set(metrics)  # run.py adds the overhead ratio
     assert metrics["geometry.dense_bytes"] == 0
     assert [name for name in names - {"trace.overhead", "geometry.dense_bytes"} if metrics[name] <= 0] == []
+
+
+def _refuse_non_finite(constant):
+    raise ValueError(f"non-finite number {constant} in the result line")
+
+
+def test_traced_benchmark_run_ends_in_one_strict_json_line():
+    """One whole traced pass of the largest workload, run as the benchmark
+    runs it: the last stdout line is the result, a strict JSON object (no
+    NaN or Infinity) that carries every per-layer metric."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"),
+         "--workload", "verify_large", "--seed", "1", "--seconds", "0.1", "--trace", "1"],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        timeout=600,
+        check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1], parse_constant=_refuse_non_finite)
+    assert result["correct"] is True, done.stdout
+    names = [layer["name"] for layer in json.loads(BENCHMARK.read_text())["per_layer"]]
+    assert [name for name in names if name not in result["metrics"]] == []
