@@ -3,10 +3,15 @@
 `verify` builds a Gauss quadrature space for the requested weight, profiles
 its doubling behavior, then runs every quantitative check in a fixed order
 with sampling driven by one seeded generator.  The JSON document it writes
-is a pure function of the configuration, so identical configs produce
-byte-identical output.  Exit codes: 0 when every asserted check passes,
-1 when an asserted inequality fails, 2 for invalid configuration or an
-inadmissible run (truncation, sampling).
+is a pure function of the configuration, the numpy build and the BLAS
+thread count: identical configs produce byte-identical output under the
+same numpy and thread count.  Another thread count moves the roundoff of
+the BLAS products, and with it the last digits of fitted numbers; a test
+holds the check ids and pass flags of one verdict fixed between 1 and 2
+threads.  The ``kernel`` CSV has the same contract, since its table is one
+matrix product.  Exit codes: 0 when every asserted check passes, 1 when an
+asserted inequality fails, 2 for invalid configuration or an inadmissible
+run (truncation, sampling).
 
 Fitted quantities (Gaussian envelope constants, Hoelder exponent, the
 Poincare constant, frame ratios) are reported with their stability under
@@ -15,6 +20,7 @@ doubled resolution but never gate the exit code.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -352,6 +358,7 @@ def run_decompose(config: RunConfig) -> int:
     return 0
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heatframe",

@@ -15,7 +15,9 @@ Every identity, fit and mapping bound works on the factored view
 which sampled entries, the diagonal, row integrals, the action on basis rows,
 blocks of the table's upper triangle and the semigroup defect come without
 the N x N table.  The dense table (``heat_kernel``) serves only the
-``kernel`` CSV export, which writes all of it.
+``kernel`` CSV export, which writes all of it.  The table is symmetric
+bitwise, so its writer (``kernel_to_csv``) formats each mirrored pair once
+and reuses the string only between bitwise-equal entries.
 
 Two-sided Gaussian envelopes and the space Hoelder exponent are *fitted*
 rather than asserted: the fit reports the constants
@@ -401,8 +403,35 @@ def verify_holder(
 
 
 def kernel_to_csv(table: np.ndarray, path: str) -> None:
-    """Write the kernel table as rows (x_index, y_index, value)."""
+    """Write a square table as CRLF rows (x_index, y_index, value), each
+    value spelled ``repr(float(v))``.
+
+    h_t is symmetric, and ``heat_kernel``'s table is symmetric to the bit,
+    so each entry of the upper triangle and the diagonal is formatted once,
+    with the row's ``tolist()`` through one list ``repr``, and its string is
+    reused for the mirrored entry.  Reuse needs bitwise-equal entries
+    (compared as uint64, so 0.0 and -0.0 differ and equal NaNs match); any
+    other entry of the lower triangle is formatted on its own, so the bytes
+    are those of formatting every entry.  Strings wait for their mirrored
+    row: about N^2/4 of them when row N/2 is written.
+    """
+    values = np.asarray(table, dtype=np.float64)
+    if values.ndim != 2 or values.shape[0] != values.shape[1]:
+        raise DomainError(f"the kernel table must be square, not of shape {values.shape}")
+    n = values.shape[0]
+    bits = values.view(np.uint64)
+    template = "".join(f"%s,{j},%s\r\n" for j in range(n))
+    pending: list[list[str] | None] = [[] for _ in range(n)]  # row k's strings for columns < k
     with open_output(path, newline="") as fh:
         fh.write("x_index,y_index,value\r\n")
-        for i in range(table.shape[0]):
-            fh.write("".join(f"{i},{j},{v!r}\r\n" for j, v in enumerate(table[i].tolist())))
+        for i in range(n):
+            upper = repr(values[i, i:].tolist())[1:-1].split(", ")
+            row, pending[i] = pending[i], None
+            for j in np.flatnonzero(bits[i, :i] != bits[:i, i]).tolist():
+                row[j] = repr(float(values[i, j]))
+            for mirrored, text in zip(pending[i + 1 :], upper[1:]):
+                mirrored.append(text)
+            row += upper
+            args = [str(i)] * (2 * n)
+            args[1::2] = row
+            fh.write(template % tuple(args))

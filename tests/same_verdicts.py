@@ -17,8 +17,9 @@ never chosen by outcome:
 - every call of the golden corpus (``golden_corpus.CALLS``);
 - the envelope-underflow reproducers (``UNDERFLOW_CALLS``), which end in
   exit 2 inside ``operators.dominated_operator``;
-- the ``verify_sweep`` and ``verify_large`` operations the benchmark draws
-  for seeds 1-3 (``perfbench/workloads.py`` of this repository);
+- the ``verify_sweep``, ``verify_large`` and ``export`` operations the
+  benchmark draws for seeds 1-3 (``perfbench/workloads.py`` of this
+  repository), without the output paths the benchmark gives them;
 - a random grid over (gamma, alpha, nodes, delta, t, sigma, seed) drawn from
   a fixed seed.
 
@@ -55,12 +56,13 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 
-BENCH_WORKLOADS = ("verify_sweep", "verify_large")
+BENCH_WORKLOADS = ("verify_sweep", "verify_large", "export")
 BENCH_SEEDS = (1, 2, 3)
 RANDOM_SEED = 20261020
 RANDOM_CALLS = 16
@@ -109,17 +111,16 @@ def _random_calls() -> list[list[str]]:
 
 
 def grid() -> list[list[str]]:
-    """The golden calls, the underflow reproducers, the benchmark's verify
+    """The golden calls, the underflow reproducers, the benchmark's
     operations, the random grid."""
     sys.path[:0] = [str(HERE), str(ROOT / "perfbench")]
     import golden_corpus
     import workloads
 
     calls = [list(argv) for argv in (*golden_corpus.CALLS, *UNDERFLOW_CALLS)]
-    with tempfile.TemporaryDirectory() as out_dir:
-        for name in BENCH_WORKLOADS:
-            for seed in BENCH_SEEDS:
-                calls += [op.argv() for op in workloads.WORKLOADS[name](random.Random(seed), out_dir)]
+    for name in BENCH_WORKLOADS:
+        for seed in BENCH_SEEDS:
+            calls += [replace(op, out=None).argv() for op in workloads.WORKLOADS[name](random.Random(seed), "")]
     return calls + _random_calls()
 
 

@@ -501,6 +501,28 @@ def test_the_program_never_imports_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_the_verdict_does_not_depend_on_the_blas_thread_count():
+    # The bytes may differ (roundoff in the BLAS products); the check ids,
+    # their pass flags and the gate may not.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    argv = [sys.executable, "-m", "heatframe.cli", "verify", "--nodes", "256", "--degree", "204", "--seed", "3"]
+    verdicts = []
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            "OPENBLAS_NUM_THREADS": threads,
+        }
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        document = json.loads(done.stdout)
+        verdicts.append(
+            ([(r["check_id"], r["passed"]) for r in document["reports"]], document["gated_passed"])
+        )
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0][1] is True
+
+
 WEIGHT_EXPONENTS = st.floats(-1.0, 200.0, exclude_min=True, allow_nan=False)
 
 

@@ -241,6 +241,16 @@ def test_holder_requires_admissible_triples(legendre_basis):
         verify_holder(legendre_basis, (0.1,), [(0.0, 0.99, -0.99)], decay_rate=0.5)
 
 
+_EDGE = np.array(
+    [
+        [-0.0, 5e-324, 1e308, -1.5],
+        [2.2250738585072014e-308, -1e308, 0.1, -2.5e-310],
+        [1.0, -0.0, 123456789.0, -1e-5],
+        [0.0, -7e-320, 1.7976931348623157e308, 3.0],
+    ]
+)
+
+
 def _csv_writer_oracle(table, path):
     """The writer ``kernel_to_csv`` replaced: one ``csv.writer`` row per entry."""
     n = table.shape[0]
@@ -253,18 +263,59 @@ def _csv_writer_oracle(table, path):
 
 
 def test_kernel_csv_bytes_match_the_csv_writer(tmp_path, legendre_basis):
-    edge = np.array(
-        [
-            [-0.0, 5e-324, 1e308, -1.5],
-            [2.2250738585072014e-308, -1e308, 0.1, -2.5e-310],
-            [1.0, -0.0, 123456789.0, -1e-5],
-            [0.0, -7e-320, 1.7976931348623157e308, 3.0],
-        ]
-    )
-    for k, table in enumerate((edge, heat_kernel(legendre_basis, 0.5))):
+    for k, table in enumerate((_EDGE, heat_kernel(legendre_basis, 0.5))):
         kernel_to_csv(table, str(tmp_path / f"new{k}.csv"))
         _csv_writer_oracle(table, tmp_path / f"old{k}.csv")
         assert (tmp_path / f"new{k}.csv").read_bytes() == (tmp_path / f"old{k}.csv").read_bytes()
+
+
+def _mirrored_zeros_and_nans():
+    """A table whose mirrored pairs 0.0 / -0.0, NaN / sign-flipped NaN and
+    0.1 / 0.2 differ bitwise, and whose pairs -0.0 / -0.0, NaN / NaN and the
+    rest are bitwise equal."""
+    table = np.arange(16.0).reshape(4, 4) / 7.0
+    table = table + table.T
+    table[0, 1], table[1, 0] = 0.0, -0.0
+    table[0, 2], table[2, 0] = 0.1, 0.2
+    table[0, 3], table[3, 0] = np.nan, math.copysign(math.nan, -1.0)
+    table[1, 3], table[3, 1] = -0.0, -0.0
+    table[2, 3], table[3, 2] = np.nan, np.nan
+    return table
+
+
+def _heat_kernel_at(gamma, alpha, n, degree, t):
+    return heat_kernel(build_basis(make_jacobi_space(gamma, alpha, n), JacobiParams(gamma, alpha), degree), t)
+
+
+@pytest.mark.parametrize(
+    "make_table",
+    [
+        _mirrored_zeros_and_nans,
+        lambda: np.array([[-0.0]]),
+        lambda: _EDGE.T,
+        lambda: np.asfortranarray(_EDGE),
+        lambda: _heat_kernel_at(3.0, -0.5, 128, 102, 0.5),
+    ],
+    ids=["mirrored-zeros-and-nans", "one-entry", "transposed-view", "fortran-order", "heat-kernel-128"],
+)
+def test_kernel_csv_reusing_mirrored_strings_keeps_the_oracle_bytes(tmp_path, make_table):
+    table = make_table()
+    kernel_to_csv(table, str(tmp_path / "new.csv"))
+    _csv_writer_oracle(table, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("gamma, alpha, n, degree, t", [(0.0, 0.0, 512, 400, 0.5), (0.5, -0.5, 64, 51, 0.3)])
+def test_heat_kernel_tables_are_bitwise_symmetric(gamma, alpha, n, degree, t):
+    # kernel_to_csv formats each mirrored pair once because of this.
+    bits = _heat_kernel_at(gamma, alpha, n, degree, t).view(np.uint64)
+    assert np.array_equal(bits, bits.T)
+
+
+def test_kernel_csv_rejects_a_table_that_is_not_square(tmp_path):
+    with pytest.raises(DomainError):
+        kernel_to_csv(np.zeros((3, 4)), str(tmp_path / "kernel.csv"))
+    assert not (tmp_path / "kernel.csv").exists()
 
 
 def test_kernel_csv_round_trip(tmp_path, legendre_basis):
