@@ -70,7 +70,7 @@ class RunConfig:
         params = jacobi.JacobiParams(self.gamma, self.alpha)
         if self.n_nodes < 2:
             raise DomainError("need at least two nodes")
-        if not (0 <= self.degree <= self.n_nodes - 1):
+        if self.command != "net" and not (0 <= self.degree <= self.n_nodes - 1):
             raise DomainError("degree must lie in [0, n_nodes - 1]")
         if not (0.0 < self.t < math.inf):
             raise DomainError("t must be finite and positive")
@@ -158,22 +158,12 @@ def _verdict_bases(config: RunConfig) -> tuple[jacobi.SpectralBasis, jacobi.Spec
     return bases
 
 
-def _theta_range(space: geometry.MetricMeasureSpace) -> tuple[float, float]:
-    return float(space._theta[-1]), float(space._theta[0])
-
-
-def _sample_coords(space: geometry.MetricMeasureSpace, rng: np.random.Generator, n: int) -> np.ndarray:
-    lo, hi = _theta_range(space)
-    return np.cos(rng.uniform(lo, hi, size=n))
-
-
 def _profile(space: geometry.MetricMeasureSpace, rng: np.random.Generator) -> geometry.DoublingProfile:
     radii = rng.uniform(0.02 * space.diameter, space.diameter / 3.0, size=12)
     return geometry.estimate_doubling(space, np.arange(space.n), radii)
 
 
 def run_verify(config: RunConfig) -> int:
-    config.validate()
     rng = np.random.default_rng(config.seed)
     basis, basis_fine = _verdict_bases(config)
     space = basis.space
@@ -222,17 +212,10 @@ def run_verify(config: RunConfig) -> int:
         )
 
     # Gaussian envelope and Hoelder exponent fits with refinement stability
-    gauss_pairs = list(zip(_sample_coords(space, rng, 150), _sample_coords(space, rng, 150)))
+    gauss_pairs = list(zip(space.sample(rng, 150), space.sample(rng, 150)))
     gauss_base = heat.fit_gaussian_bounds(basis, GAUSS_T_GRID, gauss_pairs)
     reports.append(gauss_base)
-    lo, hi = _theta_range(space)
-    t_ref = math.sqrt(min(GAUSS_T_GRID))
-    holder_triples = []
-    for _ in range(40):
-        th1, th2 = rng.uniform(lo, hi, size=2)
-        step = rng.uniform(0.05, 1.0) * t_ref * rng.choice((-1.0, 1.0))
-        th2p = min(max(th2 + step, lo), hi)
-        holder_triples.append((math.cos(th1), math.cos(th2), math.cos(th2p)))
+    holder_triples = space.sample_steps(rng, 40, math.sqrt(min(GAUSS_T_GRID)))
     decay_rate = float(gauss_base.context["a"])
     holder_base = heat.verify_holder(basis, GAUSS_T_GRID, holder_triples, decay_rate=decay_rate)
     reports.append(holder_base)
@@ -321,7 +304,6 @@ def run_verify(config: RunConfig) -> int:
 
 
 def run_kernel(config: RunConfig) -> int:
-    config.validate()
     basis = _build(config)
     table = heat.heat_kernel(basis, config.t)
     out = config.out or "kernel.csv"
@@ -331,7 +313,6 @@ def run_kernel(config: RunConfig) -> int:
 
 
 def run_net(config: RunConfig) -> int:
-    config.validate()
     space = geometry.make_jacobi_space(config.gamma, config.alpha, config.n_nodes)
     net = nets.build_maximal_net(space, config.delta)
     out = config.out or "net.json"
@@ -341,7 +322,6 @@ def run_net(config: RunConfig) -> int:
 
 
 def run_decompose(config: RunConfig) -> int:
-    config.validate()
     basis = _build(config)
     net = nets.build_maximal_net(basis.space, config.delta)
     if config.basis_index is not None:
@@ -404,6 +384,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "decompose": run_decompose,
     }
     try:
+        config.validate()
         return runners[config.command](config)
     except HeatframeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -96,6 +96,36 @@ class MetricMeasureSpace:
         """d(x_i, x_j) for node indices broadcast against each other."""
         return np.abs(self._theta[i] - self._theta[j])
 
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n coordinates drawn uniformly in theta over the nodes' range."""
+        return np.cos(rng.uniform(float(self._theta[-1]), float(self._theta[0]), size=n))
+
+    def sample_steps(self, rng: np.random.Generator, n: int, scale: float) -> list[tuple[float, float, float]]:
+        """n coordinate triples (s1, s2, s2'): s1 and s2 drawn as ``sample``
+        draws them, and s2' a step of at most ``scale`` in theta from s2,
+        kept inside the nodes' range."""
+        lo, hi = float(self._theta[-1]), float(self._theta[0])
+        triples = []
+        for _ in range(n):
+            th1, th2 = rng.uniform(lo, hi, size=2)
+            step = rng.uniform(0.05, 1.0) * scale * rng.choice((-1.0, 1.0))
+            th2p = min(max(th2 + step, lo), hi)
+            triples.append((math.cos(th1), math.cos(th2), math.cos(th2p)))
+        return triples
+
+    def snap(self, coords: Sequence) -> np.ndarray:
+        """Index of the node nearest each coordinate, in the coordinates'
+        shape; a tie goes to the lower index.
+
+        The points ascend, so the nearest node is one of the two that bracket
+        the coordinate.
+        """
+        x = self.points
+        c = np.asarray(coords, dtype=float)
+        hi = np.minimum(np.searchsorted(x, c), self.n - 1)
+        lo = np.maximum(hi - 1, 0)
+        return np.where(np.abs(x[lo] - c) <= np.abs(x[hi] - c), lo, hi)
+
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     """A read-only view: writes through it raise, the caller's array stays writable."""

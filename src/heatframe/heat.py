@@ -218,19 +218,6 @@ def verify_eigen_action(
     )
 
 
-def _nearest_indices(space: MetricMeasureSpace, coords: Sequence[float]) -> np.ndarray:
-    """Index of the node nearest each coordinate; a tie goes to the lower index.
-
-    The points ascend, so the nearest node is one of the two that bracket
-    the coordinate.
-    """
-    x = space.points
-    c = np.asarray(coords, dtype=float)
-    hi = np.minimum(np.searchsorted(x, c), space.n - 1)
-    lo = np.maximum(hi - 1, 0)
-    return np.where(np.abs(x[lo] - c) <= np.abs(x[hi] - c), lo, hi)
-
-
 def _split_slope(u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     """Central least-squares slope, then slopes refitted on the residual
     halves; returns (upper_slope, lower_slope)."""
@@ -272,8 +259,7 @@ def fit_gaussian_bounds(
             f"spectral tail {worst_tail:.2e} at t = {min(t_grid)} exceeds {TAIL_TOL:.1e}; raise the degree"
         )
     space = basis.space
-    idx1 = _nearest_indices(space, [p[0] for p in pairs])
-    idx2 = _nearest_indices(space, [p[1] for p in pairs])
+    idx1, idx2 = space.snap(pairs).T
     dists = space.node_distances(idx1, idx2)
 
     def cloud_at(t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -346,9 +332,7 @@ def verify_holder(
     if min(t_grid) <= 0.0:
         raise DomainError("times must be positive")
     space = basis.space
-    idx1 = _nearest_indices(space, [tr[0] for tr in triples])
-    idx2 = _nearest_indices(space, [tr[1] for tr in triples])
-    idx3 = _nearest_indices(space, [tr[2] for tr in triples])
+    idx1, idx2, idx3 = space.snap(triples).T
     d_main = space.node_distances(idx1, idx2)
     d_move = space.node_distances(idx2, idx3)
     xs: list[float] = []

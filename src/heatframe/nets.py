@@ -24,7 +24,7 @@ import numpy as np
 from .envelope import EnvelopeParams, constant_power, envelope
 from .errors import ContractError, DomainError
 from .geometry import MetricMeasureSpace, ball_volumes_at_nodes
-from .reporting import VerificationReport, make_report, open_output
+from .reporting import VerificationReport, make_report, open_output, to_json
 
 _SEP_TOL = 1e-12
 
@@ -57,21 +57,26 @@ class Net:
 
 
 def build_maximal_net(space: MetricMeasureSpace, delta: float) -> Net:
-    """Greedy sweep in stored point order; admits a point iff it is at least
+    """Greedy in stored point order; admits a point iff it is at least
     delta from every admitted center.  The result is delta-separated and
     maximal, hence covers the space within radius strictly below delta.
     It comes with its partition (``build_partition``).
 
-    theta is monotone along the stored order, so the last admitted center
-    is the nearest one, and rounding keeps it so: one comparison per point.
+    Each point keeps its distance to the nearest admitted center, so the
+    next center is the first later point at least delta from all of them:
+    O(N m) distances for m centers.
     """
     if delta <= 0.0:
         raise DomainError("delta must be positive")
-    theta = space._theta.tolist()
+    nodes = np.arange(space.n)
+    nearest = np.full(space.n, np.inf)
     centers = [0]
-    for idx in range(1, space.n):
-        if abs(theta[idx] - theta[centers[-1]]) >= delta:
-            centers.append(idx)
+    while True:
+        nearest = np.minimum(nearest, space.node_distances(centers[-1], nodes))
+        later = np.flatnonzero(nearest[centers[-1] + 1 :] >= delta)
+        if later.size == 0:
+            break
+        centers.append(centers[-1] + 1 + int(later[0]))
     return build_partition(space, delta, np.array(centers, dtype=int))
 
 
@@ -244,8 +249,7 @@ def save_net(net: Net, path: str) -> None:
         "assignment": [int(a) for a in net.assignment],
     }
     with open_output(path) as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(to_json(doc))
 
 
 def load_net(path: str) -> Net:

@@ -251,7 +251,6 @@ class BandDecomposition:
     """Blockwise spectral pieces of one function sampled on a net."""
 
     blocks: list[tuple[int, np.ndarray]]
-    components: np.ndarray
     block_energies: np.ndarray
     center_indices: np.ndarray
     net_coefficients: np.ndarray
@@ -303,7 +302,6 @@ def band_decompose(basis: SpectralBasis, net: Net, f: np.ndarray) -> BandDecompo
         ratio = max(ratio, r, 1.0 / r)
     return BandDecomposition(
         blocks=blocks,
-        components=components,
         block_energies=np.asarray(energies, dtype=float),
         center_indices=net.centers.copy(),
         net_coefficients=net_coeffs,

@@ -1,8 +1,9 @@
 """Dense oracles for the arccos space: the N x N distance table, the open-ball
 mask it gives, and the O(N m) greedy net over it.
 
-The program never forms these tables; the tests compare its sorted-run and
-sweep paths against them.
+The program never forms these tables; the tests compare its sorted-run
+volumes and its net, which walks ``node_distances`` one center at a time,
+against them.
 """
 import numpy as np
 

@@ -21,7 +21,12 @@ never chosen by outcome:
   benchmark draws for seeds 1-3 (``perfbench/workloads.py`` of this
   repository), without the output paths the benchmark gives them;
 - a random grid over (gamma, alpha, nodes, delta, t, sigma, seed) drawn from
-  a fixed seed.
+  a fixed seed;
+- calls of the class ``tests/test_cli.py``'s verify fuzz test draws from
+  (weights in (-1, 200], nodes 23-96 with degree 22 to nodes - 1, an
+  optional sigma and k override), drawn from another fixed seed, each
+  followed by the ``net`` call of its weight, nodes, delta and degree, so
+  nets and nearest-node snaps of heavy weights are compared too.
 
 Per call the tool compares the exit code, the ``error:`` and ``FAILED``
 stderr lines, the warning texts and the sha256 of a written export file.
@@ -69,6 +74,8 @@ RANDOM_CALLS = 16
 RANDOM_NODES = (48, 64, 80, 96, 128)
 RANDOM_DELTAS = (0.1, 0.2, 0.3, 0.4)
 RANDOM_TIMES = (0.1, 0.5, 1.0)
+FUZZ_SEED = 20261021
+FUZZ_CALLS = 16
 # (1 + d/delta)^-sigma underflows where the kernel is nonzero: a' is infinite
 UNDERFLOW_CALLS = (
     ("verify", "--sigma", "300"),
@@ -110,9 +117,33 @@ def _random_calls() -> list[list[str]]:
     return calls
 
 
+def _fuzz_calls() -> list[list[str]]:
+    rng = random.Random(FUZZ_SEED)
+    calls = []
+    for _ in range(FUZZ_CALLS):
+        nodes = rng.randint(23, 96)
+        # 1 - random() lies in (0, 1], so each weight lies in (-1, 200]
+        shared = [
+            "--gamma", repr(-1.0 + 201.0 * (1.0 - rng.random())),
+            "--alpha", repr(-1.0 + 201.0 * (1.0 - rng.random())),
+            "--nodes", str(nodes),
+            "--delta", repr(rng.uniform(0.05, 1.0)),
+            # older trees check the degree for ``net`` too, and reject the
+            # default 40 when it exceeds nodes - 1
+            "--degree", str(rng.randint(22, nodes - 1)),
+        ]
+        argv = ["verify", *shared, "--t", repr(rng.uniform(0.05, 2.0)), "--seed", str(rng.randrange(100))]
+        if rng.random() < 0.5:
+            argv += ["--sigma", repr(rng.uniform(0.5, 30.0))]
+        if rng.random() < 0.5:
+            argv += ["--k-override", str(rng.randint(1, 8))]
+        calls += [argv, ["net", *shared]]
+    return calls
+
+
 def grid() -> list[list[str]]:
     """The golden calls, the underflow reproducers, the benchmark's
-    operations, the random grid."""
+    operations, the random grid, the fuzz-class calls."""
     sys.path[:0] = [str(HERE), str(ROOT / "perfbench")]
     import golden_corpus
     import workloads
@@ -121,7 +152,7 @@ def grid() -> list[list[str]]:
     for name in BENCH_WORKLOADS:
         for seed in BENCH_SEEDS:
             calls += [replace(op, out=None).argv() for op in workloads.WORKLOADS[name](random.Random(seed), "")]
-    return calls + _random_calls()
+    return calls + _random_calls() + _fuzz_calls()
 
 
 # -- one tree: run in a fresh interpreter ------------------------------------

@@ -108,6 +108,12 @@ def test_net_command_writes_loadable_net(tmp_path):
     assert net.assignment is not None
 
 
+def test_net_does_not_check_the_degree_it_never_reads(tmp_path, capsys):
+    # the default degree 40 exceeds 30 - 1, but a net needs no basis
+    assert main(["net", "--nodes", "30", "--out", str(tmp_path / "net.json")]) == 0
+    assert "(15 centers)" in capsys.readouterr().out
+
+
 def test_decompose_command_writes_csv(tmp_path):
     out = tmp_path / "decomp.csv"
     assert main(["decompose", "--nodes", "32", "--degree", "12",

@@ -25,7 +25,6 @@ from heatframe import (
     verify_markov,
     verify_semigroup,
 )
-from heatframe.heat import _nearest_indices
 
 
 def test_two_node_kernel_matches_closed_form():
@@ -211,9 +210,9 @@ def test_nearest_indices_equal_the_argmin(gamma, alpha, n):
          np.cos(np.random.default_rng(n).uniform(0.0, math.pi, size=200))]
     )
     expected = [int(np.argmin(np.abs(x - c))) for c in coords]
-    assert _nearest_indices(space, coords).tolist() == expected
+    assert space.snap(coords).tolist() == expected
     ties = np.abs(x[:-1] - midpoints) == np.abs(x[1:] - midpoints)
-    assert _nearest_indices(space, midpoints[ties]).tolist() == np.flatnonzero(ties).tolist()
+    assert space.snap(midpoints[ties]).tolist() == np.flatnonzero(ties).tolist()
 
 
 def test_gaussian_fit_rejects_visible_truncation(legendre_space):

@@ -15,6 +15,11 @@ over every ``def`` in ``src``, private ones included.  A call passes a
 parameter by keyword, by position, or through ``*args``/``**kwargs``; calls
 are matched to definitions by name alone, so a call to any function of the
 same name counts.
+
+The third test keeps the interval's coordinate inside ``geometry``: no
+other module reads the space's private theta table, sorted runs or
+ball-volume memo, so the other modules see only the metric, the measure and
+the space's methods.
 """
 
 import ast
@@ -127,3 +132,18 @@ def test_every_default_is_overridden_by_some_call_in_src():
         and not any(_passes(call, position, name) for call in calls.get(node.name, []))
     )
     assert unset == []
+
+
+# The space's private state; only geometry.py may read it.
+SPACE_PRIVATE = {"_theta", "_sorted_nodes", "_node_ball_volumes"}
+
+
+def test_only_geometry_reads_the_space_private_state():
+    reads = sorted(
+        f"{path.stem}:{node.lineno}:{node.attr}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "geometry.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in SPACE_PRIVATE
+    )
+    assert reads == []
