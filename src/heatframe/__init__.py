@@ -62,7 +62,6 @@ from .nets import (
 from .operators import (
     BandDecomposition,
     KernelOperator,
-    apply_operator,
     band_decompose,
     band_index,
     decomposition_to_csv,

@@ -31,13 +31,30 @@ class JacobiParams:
             raise DomainError("weight exponents must exceed -1")
 
 
+def _total_mass(gamma: float, alpha: float) -> float:
+    """2^(gamma + alpha + 1) Gamma(gamma + 1) Gamma(alpha + 1) / Gamma(gamma + alpha + 2),
+    the mass of the weight; OverflowError where it exceeds the float range."""
+    s = gamma + alpha
+    try:
+        mu0 = 2.0 ** (s + 1.0) * math.gamma(gamma + 1.0) * math.gamma(alpha + 1.0) / math.gamma(s + 2.0)
+    except OverflowError:
+        mu0 = math.inf
+    if math.isfinite(mu0):
+        return mu0
+    # the gamma factors overflow from gamma + alpha ~ 170 while mu0 stays modest
+    return math.exp(
+        (s + 1.0) * math.log(2.0) + math.lgamma(gamma + 1.0) + math.lgamma(alpha + 1.0) - math.lgamma(s + 2.0)
+    )
+
+
 def recurrence_coefficients(gamma: float, alpha: float, n: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Return (a, b, mu0) for the orthonormal recurrence up to degree n.
 
     The monic recurrence p_{k+1} = (x - a_k) p_k - b_k p_{k-1} is stated in
     the usual normalized form below; mu0 is the total mass of the weight.
     The k = 0 and k = 1 entries use algebraically canceled expressions so
-    the formulas stay finite when gamma + alpha + 1 = 0.
+    the formulas stay finite when gamma + alpha + 1 = 0.  Raises
+    ExactnessError when mu0 or a coefficient lies outside the float64 range.
     """
     JacobiParams(gamma, alpha)  # raises DomainError unless both are finite and exceed -1
     if n < 0:
@@ -45,24 +62,24 @@ def recurrence_coefficients(gamma: float, alpha: float, n: int) -> tuple[np.ndar
     s = gamma + alpha
     a = np.zeros(n + 1)
     b = np.zeros(n + 1)
-    a[0] = (alpha - gamma) / (s + 2.0)
-    for k in range(1, n + 1):
-        a[k] = (alpha * alpha - gamma * gamma) / ((2.0 * k + s) * (2.0 * k + s + 2.0))
-        if k == 1:
-            b[1] = 4.0 * (1.0 + gamma) * (1.0 + alpha) / ((2.0 + s) ** 2 * (3.0 + s))
-        else:
-            b[k] = (
-                4.0 * k * (k + gamma) * (k + alpha) * (k + s)
-                / ((2.0 * k + s) ** 2 * (2.0 * k + s + 1.0) * (2.0 * k + s - 1.0))
-            )
     try:
-        mu0 = 2.0 ** (s + 1.0) * math.gamma(gamma + 1.0) * math.gamma(alpha + 1.0) / math.gamma(s + 2.0)
-    except OverflowError:
+        a[0] = (alpha - gamma) / (s + 2.0)
+        for k in range(1, n + 1):
+            a[k] = (alpha * alpha - gamma * gamma) / ((2.0 * k + s) * (2.0 * k + s + 2.0))
+            if k == 1:
+                b[1] = 4.0 * (1.0 + gamma) * (1.0 + alpha) / ((2.0 + s) ** 2 * (3.0 + s))
+            else:
+                b[k] = (
+                    4.0 * k * (k + gamma) * (k + alpha) * (k + s)
+                    / ((2.0 * k + s) ** 2 * (2.0 * k + s + 1.0) * (2.0 * k + s - 1.0))
+                )
+        mu0 = _total_mass(gamma, alpha)
+    except OverflowError:  # a power or the mass past the float range
         mu0 = math.inf
-    if not math.isfinite(mu0):
-        # the gamma factors overflow from gamma + alpha ~ 170 while mu0 stays modest
-        mu0 = math.exp(
-            (s + 1.0) * math.log(2.0) + math.lgamma(gamma + 1.0) + math.lgamma(alpha + 1.0) - math.lgamma(s + 2.0)
+    if not (math.isfinite(mu0) and np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ExactnessError(
+            f"the mass or the recurrence of the weight (gamma, alpha) = ({gamma!r}, {alpha!r}) "
+            "lies outside the float64 range"
         )
     return a, b, mu0
 

@@ -231,15 +231,13 @@ def run_verify(config: RunConfig) -> int:
     )
 
     # mapping bounds for the heat kernel at the matched scale t = delta^2
-    kernel_op = operators.dominated_operator(
-        space, heat.factored_kernel(basis, config.delta ** 2), params
-    )
+    kernel_op = operators.dominated_operator(heat.factored_kernel(basis, config.delta ** 2), params)
     trials = jacobi.random_polynomials(basis, 20, min(16, basis.degree), rng)
     for p, q in YOUNG_EXPONENTS:
-        reports.append(operators.verify_young(space, kernel_op, profile, p, q, trials))
+        reports.append(operators.verify_young(kernel_op, profile, p, q, trials))
     schur_trials = jacobi.random_polynomials(basis, 10, min(16, basis.degree), rng)
     for p, q, r in SCHUR_EXPONENTS:
-        reports.append(operators.verify_schur(space, kernel_op, p, q, r, schur_trials))
+        reports.append(operators.verify_schur(kernel_op, p, q, r, schur_trials))
 
     # Poincare constant fitted on sampled balls, with its refinement stability
     ball_centers = space.points[rng.integers(0, space.n, size=12)]

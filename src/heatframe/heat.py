@@ -11,13 +11,17 @@ Gauss quadrature space the discrete expansion makes the defining identities
 their verifiers double as integrity checks of the discretization.
 
 Every identity, fit and mapping bound works on the factored view
-(``factored_kernel``): the basis rows and decay factors themselves, from
-which sampled entries, the diagonal, row integrals, the action on basis rows,
-blocks of the table's upper triangle and the semigroup defect come without
-the N x N table.  The dense table (``heat_kernel``) serves only the
-``kernel`` CSV export, which writes all of it.  The table is symmetric
-bitwise, so its writer (``kernel_to_csv``) formats each mirrored pair once
-and reuses the string only between bitwise-equal entries.
+(``factored_kernel``): the basis rows and decay factors themselves, with the
+space whose nodes and weights they live on.  Sampled entries, the diagonal,
+blocks of the table's upper triangle and the semigroup defect come from it
+without the N x N table, and so does the integral operator
+H f(y) = integral of h_t(x, y) f(x) dmu(x): ``FactoredKernel.apply`` is the
+one place that forms V^T D V (w f), and the unit-mass (H 1 = 1) and
+eigenfunction-action checks, like the mapping bounds, go through it.  The
+dense table (``heat_kernel``) serves only the ``kernel`` CSV export, which
+writes all of it.  The table is symmetric bitwise, so its writer
+(``kernel_to_csv``) formats each mirrored pair once and reuses the string
+only between bitwise-equal entries.
 
 Two-sided Gaussian envelopes and the space Hoelder exponent are *fitted*
 rather than asserted: the fit reports the constants
@@ -37,7 +41,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ExactnessError, SamplingError, TruncationWarning
+from .errors import ContractError, DomainError, ExactnessError, SamplingError, TruncationWarning
 from .geometry import MetricMeasureSpace, ball_volumes_at_nodes
 from .jacobi import SpectralBasis, multiplier_table
 from .reporting import VerificationReport, make_report, open_output
@@ -84,8 +88,8 @@ def heat_kernel(basis: SpectralBasis, t: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FactoredKernel:
-    """h_t kept as its spectral factors: h_t(x_i, x_j) = sum_k decay_k
-    rows[k, i] rows[k, j].
+    """h_t on the nodes of ``space``, kept as its spectral factors:
+    h_t(x_i, x_j) = sum_k decay_k rows[k, i] rows[k, j].
 
     Basis rows past the last nonzero decay factor (exp(-beta_k t) underflows
     to 0) add exact zeros to every sum, so they are dropped.  ``tail`` is
@@ -93,9 +97,22 @@ class FactoredKernel:
     per-term bound on the spectral tail the expansion truncates.
     """
 
+    space: MetricMeasureSpace
     rows: np.ndarray
     decay: np.ndarray
     tail: float
+
+    def __post_init__(self) -> None:
+        if self.rows.shape[1] != self.space.n:
+            raise ContractError("kernel must cover all node pairs of the space")
+
+    def apply(self, f: np.ndarray) -> np.ndarray:
+        """(H f)(y) = integral of h_t(x, y) f(x) dmu(x) over the space, as
+        V^T D V (w f), for one function or one per row of f."""
+        f = np.asarray(f, dtype=float)
+        if f.ndim not in (1, 2) or f.shape[-1] != self.space.n:
+            raise ContractError("nodal values must align with the space")
+        return ((self.space.weights * f) @ self.rows.T * self.decay) @ self.rows
 
     def entries(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """h_t(x_i, x_j) for aligned index arrays.
@@ -140,15 +157,14 @@ def factored_kernel(basis: SpectralBasis, t: float) -> FactoredKernel:
     """The factored view of h_t, with the time and tail checks of heat_kernel."""
     decay = _decay(basis, t)
     keep = int(np.flatnonzero(decay).max(initial=-1)) + 1
-    return FactoredKernel(rows=basis.values[:keep], decay=decay[:keep], tail=float(decay[-1]))
+    return FactoredKernel(space=basis.space, rows=basis.values[:keep], decay=decay[:keep], tail=float(decay[-1]))
 
 
 def verify_markov(basis: SpectralBasis, t: float) -> VerificationReport:
-    """Unit mass in each slot: the row integrals of h_t, V^T D (V w), must
-    all equal 1."""
+    """Unit mass in each slot: the row integrals of h_t, H 1, must all
+    equal 1."""
     space = basis.space
-    kernel = factored_kernel(basis, t)
-    row_integrals = (kernel.decay * (kernel.rows @ space.weights)) @ kernel.rows
+    row_integrals = factored_kernel(basis, t).apply(np.ones(space.n))
     defect = float(np.abs(row_integrals - 1.0).max())
     return make_report(
         "markov",
@@ -200,13 +216,12 @@ def verify_eigen_action(
 ) -> VerificationReport:
     """R_t P_i = exp(-beta_i t) P_i for each basis row up to max_index.
 
-    The images R_t P_i = V^T D V (w P_i) come from the factored kernel.
+    The images R_t P_i come from the factored kernel's ``apply``.
     """
     if max_index < 0 or max_index > basis.degree:
         raise DomainError("max_index must lie within the basis degree")
-    kernel = factored_kernel(basis, t)
     probes = basis.values[: max_index + 1]
-    images = (kernel.decay[:, None] * (kernel.rows @ (probes * basis.space.weights).T)).T @ kernel.rows
+    images = factored_kernel(basis, t).apply(probes)
     expected = np.exp(-basis.eigenvalues[: max_index + 1] * t)[:, None] * probes
     defects = np.abs(images - expected).max(axis=1)
     worst_i = int(np.argmax(defects))

@@ -1,8 +1,10 @@
 """Kernel operators, mapping bounds, and dyadic band decompositions.
 
-An operator is a heat kernel H(x_i, x_j) in its factored form, acting by
-quadrature in the first slot: H f = V^T D V (w f), never through the N x N
-table.  When |H| is dominated pointwise by a' E for the localization
+An operator is a heat kernel H(x_i, x_j) in its factored form, which carries
+the space it lives on and acts by quadrature in the first slot through
+``FactoredKernel.apply``: H f = V^T D V (w f), never through the N x N
+table.  The domination fit and the mapping bounds read the space from the
+kernel.  When |H| is dominated pointwise by a' E for the localization
 envelope E at scale delta, the operator inherits the full L^p -> L^q mapping
 scale: with 1/p - 1/q = 1 - 1/r and the volume floor constant a_hat,
 
@@ -34,7 +36,7 @@ import numpy as np
 
 from .envelope import EnvelopeParams, envelope
 from .errors import ContractError, DomainError, PreconditionError
-from .geometry import DoublingProfile, MetricMeasureSpace, lp_norm
+from .geometry import DoublingProfile, lp_norm
 from .heat import FactoredKernel
 from .jacobi import SpectralBasis, coefficients, synthesize
 from .nets import Net, cell_masses, check_net_space
@@ -58,11 +60,6 @@ SCHUR_ORDERS = (1.0, 2.0, math.inf)
 BAND_TOL = 1e-10  # Parseval and reconstruction defects, relative to max(1, size of f)
 
 
-def _check_kernel_space(space: MetricMeasureSpace, kernel: FactoredKernel) -> None:
-    if kernel.rows.shape[1] != space.n:
-        raise ContractError("kernel must cover all node pairs of the space")
-
-
 def _add_row_sums(sums: np.ndarray, w: np.ndarray, rows: slice, block: np.ndarray) -> None:
     """Add an upper-triangle block's weighted sums to ``sums``.  The table is
     exactly symmetric, so its row sums are its column sums: a block adds its
@@ -72,7 +69,7 @@ def _add_row_sums(sums: np.ndarray, w: np.ndarray, rows: slice, block: np.ndarra
     sums[rows.stop :] += w[rows] @ block[:, rows.stop - rows.start :]
 
 
-def dominated_operator(space: MetricMeasureSpace, kernel: FactoredKernel, params: EnvelopeParams) -> KernelOperator:
+def dominated_operator(kernel: FactoredKernel, params: EnvelopeParams) -> KernelOperator:
     """The kernel with a_prime = max |H| / E over every node pair, and its
     Schur norms for r in SCHUR_ORDERS, from one pass over the blocks of the
     upper triangle.
@@ -80,7 +77,7 @@ def dominated_operator(space: MetricMeasureSpace, kernel: FactoredKernel, params
     Where (1 + d/delta)^-sigma_exp underflows and H does not vanish, a_prime
     is infinite: a PreconditionError, since no mapping bound follows.
     """
-    _check_kernel_space(space, kernel)
+    space = kernel.space
     nodes = np.arange(space.n)
     w = space.weights
     ratio_maxima = []
@@ -107,17 +104,6 @@ def dominated_operator(space: MetricMeasureSpace, kernel: FactoredKernel, params
     return KernelOperator(kernel=kernel, a_prime=a_prime, params=params, schur_norms=schur_norms)
 
 
-def apply_operator(space: MetricMeasureSpace, op: KernelOperator, f: np.ndarray) -> np.ndarray:
-    """(H f)(y) = integral of H(x, y) f(x) dsigma(x), as V^T D V (w f), for
-    one function or one per row of f."""
-    f = np.asarray(f, dtype=float)
-    if f.ndim not in (1, 2) or f.shape[-1] != space.n:
-        raise ContractError("nodal values must align with the space")
-    _check_kernel_space(space, op.kernel)
-    kernel = op.kernel
-    return ((space.weights * f) @ kernel.rows.T * kernel.decay) @ kernel.rows
-
-
 _LOG2 = math.log(2.0)
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -128,22 +114,20 @@ def _exponent_inverse(p: float) -> float:
     return 0.0 if math.isinf(p) else 1.0 / p
 
 
-def _worst_ratio(
-    space: MetricMeasureSpace, op: KernelOperator, p: float, q: float, trials: np.ndarray
-) -> tuple[float, int]:
+def _worst_ratio(op: KernelOperator, p: float, q: float, trials: np.ndarray) -> tuple[float, int]:
     """Largest ||H f||_q / ||f||_p over the nonzero trial rows, and the row count."""
     trials = np.atleast_2d(np.asarray(trials, dtype=float))
+    w = op.kernel.space.weights
     worst = 0.0
-    for f, image in zip(trials, apply_operator(space, op, trials)):
-        denom = lp_norm(space.weights, f, p)
+    for f, image in zip(trials, op.kernel.apply(trials)):
+        denom = lp_norm(w, f, p)
         if denom == 0.0:
             continue
-        worst = max(worst, lp_norm(space.weights, image, q) / denom)
+        worst = max(worst, lp_norm(w, image, q) / denom)
     return worst, int(trials.shape[0])
 
 
 def verify_young(
-    space: MetricMeasureSpace,
     op: KernelOperator,
     profile: DoublingProfile,
     p: float,
@@ -182,7 +166,7 @@ def verify_young(
         )
     a_const = op.a_prime * a_hat ** (k * (inv_r - 1.0)) * 2.0 ** (2 * k + 1)
     rhs = a_const * delta ** (k * (inv_q - inv_p))
-    worst, n_trials = _worst_ratio(space, op, p, q, trials)
+    worst, n_trials = _worst_ratio(op, p, q, trials)
     return make_report(
         "young",
         worst,
@@ -204,7 +188,6 @@ def verify_young(
 
 
 def verify_schur(
-    space: MetricMeasureSpace,
     op: KernelOperator,
     p: float,
     q: float,
@@ -224,9 +207,8 @@ def verify_schur(
         raise DomainError("exponents must satisfy 1/p - 1/q = 1 - 1/r")
     if r not in SCHUR_ORDERS:
         raise DomainError(f"Schur norms are taken for r in {SCHUR_ORDERS}, not r = {r:g}")
-    _check_kernel_space(space, op.kernel)
     C = op.schur_norms[r]
-    worst, n_trials = _worst_ratio(space, op, p, q, trials)
+    worst, n_trials = _worst_ratio(op, p, q, trials)
     return make_report(
         "schur",
         worst,

@@ -233,13 +233,18 @@ def open_output(path: str, newline: str | None = None) -> TextIO:
     place, so the write never waits on the write-back of the old copy.
     Other hard links to that file keep the old copy.  A symlink is written
     through to its target, and a device such as /dev/null is opened as is.
+    A path that cannot be opened for writing (a missing directory, a
+    directory, no permission) is a DomainError naming it.
     """
     try:
         if stat.S_ISREG(os.lstat(path).st_mode):
             os.unlink(path)
     except OSError:  # no such file, or one we may not unlink: open it as before
         pass
-    return open(path, "w", newline=newline, encoding="utf-8")
+    try:
+        return open(path, "w", newline=newline, encoding="utf-8")
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def compare_stability(

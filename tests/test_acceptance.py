@@ -198,14 +198,12 @@ def test_criterion_06_young_bound(legendre_space, legendre_basis):
     profile = estimate_doubling(space, np.arange(space.n), radii)
     delta = 0.2
     params = EnvelopeParams(delta=delta, sigma_exp=2 * profile.k + 1.0, k=profile.k)
-    op = dominated_operator(
-        space, factored_kernel(legendre_basis, delta**2), params
-    )
+    op = dominated_operator(factored_kernel(legendre_basis, delta**2), params)
     trials = random_polynomials(legendre_basis, 20, 16, rng)
     failures = 0
     worst_margin = math.inf
     for p, q in ((1.0, 1.0), (1.0, 2.0), (2.0, 2.0), (1.0, math.inf), (2.0, math.inf)):
-        report = verify_young(space, op, profile, p, q, trials)
+        report = verify_young(op, profile, p, q, trials)
         worst_margin = min(worst_margin, report.margin)
         failures += 0 if report.passed else 1
     ok = failures == 0

@@ -153,6 +153,19 @@ def test_out_to_a_device_writes_through_it(argv):
     assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
+@pytest.mark.parametrize("argv", WRITERS, ids=[argv[0] for argv in WRITERS])
+@pytest.mark.parametrize(
+    "where, reason",
+    [("missing/dir/out", "No such file or directory"), (".", "Is a directory")],
+    ids=["missing-directory", "directory"],
+)
+def test_unwritable_out_ends_in_one_error_line_naming_it(argv, where, reason, tmp_path, capsys):
+    # exit 1 means a failed check, so a path the writer cannot open exits 2
+    out = tmp_path / where
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: cannot write {out}: {reason}"]
+
+
 def test_out_through_a_symlink_writes_its_target(tmp_path):
     target = tmp_path / "target.json"
     target.write_text("stale\n" * 100_000, encoding="utf-8")
@@ -487,6 +500,25 @@ def test_rule_outside_the_float_range_ends_in_one_error_line_naming_it(command, 
     assert err.splitlines() == [
         "error: the Gauss rule of 1024 nodes for (gamma, alpha) = (200, 200) has weights outside the float64 range"
     ]
+
+
+@pytest.mark.parametrize(
+    "gamma, alpha",
+    [
+        ("-0.999999999", "1000"),  # the log form of the mass past the float range
+        ("1e15", "0"),  # likewise, from 2^(gamma + alpha + 1)
+        ("1e300", "1e300"),  # (2 + gamma + alpha)^2 in the coefficient b_1
+    ],
+)
+def test_weight_whose_mass_or_recurrence_overflows_ends_in_one_error_line_naming_it(gamma, alpha, tmp_path, capsys):
+    argv = ["kernel", "--nodes", "4", "--degree", "3", "--gamma", gamma, "--alpha", alpha,
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: the mass or the recurrence of the weight (gamma, alpha) = ({float(gamma)!r}, {float(alpha)!r}) "
+        "lies outside the float64 range"
+    ]
+    assert not (tmp_path / "out").exists()
 
 
 def test_the_program_never_imports_scipy():

@@ -180,6 +180,16 @@ def test_markov_catches_weights_off_by_a_millionth(legendre_space, legendre_basi
     assert report.lhs == pytest.approx(1e-6, rel=1e-6)
 
 
+def test_eigen_action_catches_weights_off_by_a_millionth(legendre_space, legendre_basis):
+    # H P_i integrates against the weights, so 1 + 1e-6 times the rule scales
+    # every image by 1 + 1e-6; the largest defect is 1e-6 P_0 = 1e-6 / sqrt(2),
+    # seven hundred times the tolerance
+    heavier = MetricMeasureSpace(legendre_space.points, legendre_space.weights * (1.0 + 1e-6))
+    report = verify_eigen_action(dataclasses.replace(legendre_basis, space=heavier), 0.5, 10)
+    assert not report.passed
+    assert report.lhs == pytest.approx(1e-6 / math.sqrt(2.0), rel=1e-6)
+
+
 def test_eigenfunction_action(legendre_basis):
     for t in (0.1, 0.5):
         report = verify_eigen_action(legendre_basis, t, 10)

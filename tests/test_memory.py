@@ -6,19 +6,20 @@ import tracemalloc
 from heatframe import cli, geometry, heat, jacobi, operators
 
 NODES, DEGREE = 1024, 800
+# (module, phase, the node count of its space, read from its arguments)
 PHASES = (
-    (heat, "verify_semigroup"),
-    (operators, "dominated_operator"),
-    (operators, "verify_young"),
-    (operators, "verify_schur"),
-    (jacobi, "build_basis"),
+    (heat, "verify_semigroup", lambda space, *_: space.n),
+    (operators, "dominated_operator", lambda kernel, *_: kernel.space.n),
+    (operators, "verify_young", lambda op, *_: op.kernel.space.n),
+    (operators, "verify_schur", lambda op, *_: op.kernel.space.n),
+    (jacobi, "build_basis", lambda space, *_: space.n),
 )
 
 
 def test_verify_at_1024_nodes_allocates_no_table_of_all_pairs(monkeypatch, tmp_path):
     peaks: dict[str, list[tuple[int, int]]] = {}
 
-    def watch(module, name):
+    def watch(module, name, nodes_of):
         original = getattr(module, name)
 
         def traced(*args, **kwargs):
@@ -28,15 +29,15 @@ def test_verify_at_1024_nodes_allocates_no_table_of_all_pairs(monkeypatch, tmp_p
                 return original(*args, **kwargs)
             finally:
                 _, peak = tracemalloc.get_traced_memory()
-                peaks.setdefault(name, []).append((args[0].n, peak - entry))  # every phase takes the space first
+                peaks.setdefault(name, []).append((nodes_of(*args), peak - entry))
 
         monkeypatch.setattr(module, name, traced)
 
     def no_dense_table(*args, **kwargs):
         raise AssertionError("verify built the dense heat-kernel table")
 
-    for module, name in PHASES:
-        watch(module, name)
+    for module, name, nodes_of in PHASES:
+        watch(module, name, nodes_of)
     monkeypatch.setattr(heat, "heat_kernel", no_dense_table)
     geometry.make_jacobi_space.cache_clear()  # a cold verdict, as a one-shot run pays it: new spaces, new bases
     tracemalloc.start()

@@ -1,6 +1,7 @@
 """Norms, dominated operators, mapping bounds, band decomposition."""
 
 import csv
+import dataclasses
 import math
 import tracemalloc
 
@@ -14,7 +15,6 @@ from heatframe import (
     FactoredKernel,
     JacobiParams,
     PreconditionError,
-    apply_operator,
     band_decompose,
     band_index,
     build_basis,
@@ -52,12 +52,13 @@ def test_lp_norm_hand_values():
 def test_low_pass_projector_on_square(legendre_space, legendre_basis):
     # Projecting x^2 onto span{1, x} leaves the mean: <x^2, 1>/<1, 1> = 1/3.
     low_pass = (legendre_basis.eigenvalues <= 2.0).astype(float)
-    kernel = FactoredKernel(rows=legendre_basis.values, decay=low_pass, tail=0.0)  # exact: nothing truncated
-    projector = dominated_operator(legendre_space, kernel, PARAMS)
-    projected = apply_operator(
-        legendre_space, projector, legendre_space.points**2
-    )
+    # exact: nothing truncated
+    kernel = FactoredKernel(space=legendre_space, rows=legendre_basis.values, decay=low_pass, tail=0.0)
+    projected = kernel.apply(legendre_space.points**2)
     assert projected == pytest.approx(np.full(64, 1.0 / 3.0), abs=1e-12)
+    for misaligned in (np.ones(63), np.ones((2, 2, 64))):
+        with pytest.raises(ContractError, match="nodal values must align with the space"):
+            kernel.apply(misaligned)
 
 
 def test_heat_kernel_matches_the_legendre_series(legendre_space, legendre_basis):
@@ -74,13 +75,13 @@ def test_heat_kernel_matches_the_legendre_series(legendre_space, legendre_basis)
 
 def test_domination_fit_and_envelope_underflow(legendre_space, legendre_basis):
     kernel = factored_kernel(legendre_basis, PARAMS.delta**2)
-    op = dominated_operator(legendre_space, kernel, PARAMS)
+    op = dominated_operator(kernel, PARAMS)
     assert 0.0 < op.a_prime < math.inf
     # (1 + pi/0.2)^-300 underflows to 0 at the far pairs, where H does not vanish
     with pytest.raises(PreconditionError, match=r"envelope .* underflows at sigma = 300.*vacuous"):
-        dominated_operator(legendre_space, kernel, EnvelopeParams(delta=PARAMS.delta, sigma_exp=300.0, k=2))
-    with pytest.raises(ContractError):
-        dominated_operator(legendre_space, FactoredKernel(kernel.rows[:, :10], kernel.decay, kernel.tail), PARAMS)
+        dominated_operator(kernel, EnvelopeParams(delta=PARAMS.delta, sigma_exp=300.0, k=2))
+    with pytest.raises(ContractError, match="kernel must cover all node pairs of the space"):
+        FactoredKernel(legendre_space, kernel.rows[:, :10], kernel.decay, kernel.tail)
 
 
 def _doubling(space):
@@ -99,7 +100,7 @@ def test_domination_max_is_the_whole_table_max_within_one_table_of_memory():
         params = EnvelopeParams(delta=math.sqrt(t), sigma_exp=5.0, k=2)
         tracemalloc.start()
         try:
-            op = dominated_operator(space, kernel, params)
+            op = dominated_operator(kernel, params)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -121,16 +122,14 @@ def test_young_bound_holds_for_heat_kernel(legendre_space, legendre_basis, rng):
     delta = 0.2
     profile = _doubling(legendre_space)
     params = EnvelopeParams(delta=delta, sigma_exp=2 * profile.k + 1, k=profile.k)
-    op = dominated_operator(
-        legendre_space, factored_kernel(legendre_basis, delta**2), params
-    )
+    op = dominated_operator(factored_kernel(legendre_basis, delta**2), params)
     trials = random_polynomials(legendre_basis, 20, 16, rng)
     for p, q in ((1.0, 1.0), (1.0, 2.0), (2.0, 2.0), (1.0, math.inf), (2.0, math.inf)):
-        report = verify_young(legendre_space, op, profile, p, q, trials)
+        report = verify_young(op, profile, p, q, trials)
         assert report.passed, (p, q, report.margin)
         assert report.context["kernel_tail"] == np.exp(-legendre_basis.eigenvalues * delta**2)[-1]
     with pytest.raises(DomainError):
-        verify_young(legendre_space, op, profile, 2.0, 1.0, trials)
+        verify_young(op, profile, 2.0, 1.0, trials)
 
 
 @pytest.mark.parametrize("gamma, alpha, nodes, degree", [(0.0, 0.0, 64, 40), (3.0, -0.5, 96, 76)])
@@ -138,12 +137,12 @@ def test_factored_action_and_schur_constant_match_the_dense_table(gamma, alpha, 
     space = make_jacobi_space(gamma, alpha, nodes)
     basis = build_basis(space, JacobiParams(gamma, alpha), degree)
     t = 0.04
-    op = dominated_operator(space, factored_kernel(basis, t), PARAMS)
+    op = dominated_operator(factored_kernel(basis, t), PARAMS)
     table = heat_kernel(basis, t)
     w = space.weights
     for f in random_polynomials(basis, 5, 16, np.random.default_rng(3)):
         dense = (w * f) @ table
-        assert np.abs(apply_operator(space, op, f) - dense).max() <= 1e-13 * np.abs(dense).max()
+        assert np.abs(op.kernel.apply(f) - dense).max() <= 1e-13 * np.abs(dense).max()
     trials = random_polynomials(basis, 2, 8, np.random.default_rng(4))
     absH = np.abs(table)
     for p, q, r in ((2.0, 2.0, 1.0), (1.0, 2.0, 2.0), (1.0, math.inf, math.inf)):
@@ -152,17 +151,17 @@ def test_factored_action_and_schur_constant_match_the_dense_table(gamma, alpha, 
         else:
             slots = ((w @ absH**r) ** (1.0 / r), (absH**r @ w) ** (1.0 / r))
         dense_C = float(max(slots[0].max(), slots[1].max()))
-        report = verify_schur(space, op, p, q, r, trials)
+        report = verify_schur(op, p, q, r, trials)
         assert report.rhs == pytest.approx(dense_C, rel=1e-13, abs=0.0)
         assert report.context["kernel_tail"] == op.kernel.tail
 
 
-def _schur_norm_by_its_own_pass(space, kernel, r):
+def _schur_norm_by_its_own_pass(kernel, r):
     """The Schur constant for one r from a pass of its own over the blocks:
     the oracle for dominated_operator's one pass over every order."""
-    w = space.weights
+    w = kernel.space.weights
     largest = 0.0
-    powered_sums = np.zeros(space.n)
+    powered_sums = np.zeros(kernel.space.n)
     for rows, block in kernel.upper_row_blocks():
         np.abs(block, out=block)
         if math.isinf(r):
@@ -179,21 +178,21 @@ def test_one_pass_schur_norms_equal_a_pass_per_order_bitwise(gamma, alpha, nodes
     space = make_jacobi_space(gamma, alpha, nodes)
     basis = build_basis(space, JacobiParams(gamma, alpha), degree)
     kernel = factored_kernel(basis, 0.04)
-    op = dominated_operator(space, kernel, PARAMS)
+    op = dominated_operator(kernel, PARAMS)
     assert tuple(op.schur_norms) == SCHUR_ORDERS
     for r in SCHUR_ORDERS:
-        assert op.schur_norms[r] == _schur_norm_by_its_own_pass(space, kernel, r), r
+        assert op.schur_norms[r] == _schur_norm_by_its_own_pass(kernel, r), r
     trials = random_polynomials(basis, 2, 8, np.random.default_rng(5))
     for p, q, r in ((2.0, 2.0, 1.0), (1.0, 2.0, 2.0), (1.0, math.inf, math.inf)):
-        assert verify_schur(space, op, p, q, r, trials).rhs == op.schur_norms[r], r
+        assert verify_schur(op, p, q, r, trials).rhs == op.schur_norms[r], r
 
 
 def test_schur_orders_outside_the_one_pass_are_a_domain_error(legendre_space, legendre_basis, rng):
-    op = dominated_operator(legendre_space, factored_kernel(legendre_basis, 0.04), PARAMS)
+    op = dominated_operator(factored_kernel(legendre_basis, 0.04), PARAMS)
     trials = random_polynomials(legendre_basis, 2, 8, rng)
     # 1/1.5 - 1/3 = 1 - 1/1.5: the exponents are related, but r = 1.5 has no norm
     with pytest.raises(DomainError, match=r"r in \(1\.0, 2\.0, inf\), not r = 1\.5"):
-        verify_schur(legendre_space, op, 1.5, 3.0, 1.5, trials)
+        verify_schur(op, 1.5, 3.0, 1.5, trials)
     assert [r for _, _, r in cli.SCHUR_EXPONENTS if r not in SCHUR_ORDERS] == []
 
 
@@ -201,22 +200,42 @@ def test_young_requires_wide_envelope_exponent(legendre_space, legendre_basis, r
     profile = _doubling(legendre_space)
     k = profile.k
     params = EnvelopeParams(delta=0.2, sigma_exp=2 * k + 0.5, k=k)
-    op = dominated_operator(
-        legendre_space, factored_kernel(legendre_basis, 0.04), params
-    )
+    op = dominated_operator(factored_kernel(legendre_basis, 0.04), params)
     trials = random_polynomials(legendre_basis, 4, 8, rng)
     with pytest.raises(PreconditionError):
-        verify_young(legendre_space, op, profile, 1.0, 2.0, trials)
+        verify_young(op, profile, 1.0, 2.0, trials)
 
 
 def test_schur_bound_holds(legendre_space, legendre_basis, rng):
-    op = dominated_operator(legendre_space, factored_kernel(legendre_basis, 0.3), PARAMS)
+    op = dominated_operator(factored_kernel(legendre_basis, 0.3), PARAMS)
     trials = random_polynomials(legendre_basis, 10, 16, rng)
     for p, q, r in ((2.0, 2.0, 1.0), (1.0, 2.0, 2.0)):
-        report = verify_schur(legendre_space, op, p, q, r, trials)
+        report = verify_schur(op, p, q, r, trials)
         assert report.passed, (p, q, r, report.margin)
     with pytest.raises(DomainError):
-        verify_schur(legendre_space, op, 2.0, 2.0, 2.0, trials)
+        verify_schur(op, 2.0, 2.0, 2.0, trials)
+
+
+def test_young_and_schur_catch_a_kernel_twice_past_their_bound(legendre_space, legendre_basis, rng):
+    # Scaling the decay factors by c scales every image H f by c; a' and the
+    # Schur norms were taken when the operator was built, so the bound stays
+    # and the measured ratio lands at twice it.
+    profile = _doubling(legendre_space)
+    params = EnvelopeParams(delta=0.2, sigma_exp=2 * profile.k + 1, k=profile.k)
+    op = dominated_operator(factored_kernel(legendre_basis, 0.04), params)
+    trials = random_polynomials(legendre_basis, 10, 16, rng)
+    checks = [lambda op, p=p, q=q: verify_young(op, profile, p, q, trials) for p, q in cli.YOUNG_EXPONENTS]
+    checks += [lambda op, p=p, q=q, r=r: verify_schur(op, p, q, r, trials) for p, q, r in cli.SCHUR_EXPONENTS]
+    for check in checks:
+        report = check(op)
+        assert report.passed, report.context
+        louder = dataclasses.replace(
+            op, kernel=dataclasses.replace(op.kernel, decay=op.kernel.decay * (2.0 * report.rhs / report.lhs))
+        )
+        failed = check(louder)
+        assert not failed.passed, report.context
+        assert failed.rhs == report.rhs
+        assert failed.lhs == pytest.approx(2.0 * report.rhs, rel=1e-12)
 
 
 def test_band_index_breakpoints():

@@ -20,6 +20,11 @@ The third test keeps the interval's coordinate inside ``geometry``: no
 other module reads the space's private theta table, sorted runs or
 ball-volume memo, so the other modules see only the metric, the measure and
 the space's methods.
+
+The fourth keeps the kernel's factors inside ``heat``: no other module reads
+a kernel's ``rows`` or ``decay``, so the integral operator V^T D V (w f) is
+formed in one place, ``FactoredKernel.apply``, and the other modules see a
+kernel only through its methods.
 """
 
 import ast
@@ -145,5 +150,20 @@ def test_only_geometry_reads_the_space_private_state():
         if path.name != "geometry.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Attribute) and node.attr in SPACE_PRIVATE
+    )
+    assert reads == []
+
+
+# The kernel's spectral factors; only heat.py may read them.
+KERNEL_FACTORS = {"rows", "decay"}
+
+
+def test_only_heat_reads_the_kernel_factors():
+    reads = sorted(
+        f"{path.stem}:{node.lineno}:{node.attr}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "heat.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in KERNEL_FACTORS
     )
     assert reads == []
