@@ -308,7 +308,7 @@ def gauss_nodes(gamma: float, alpha: float, n: int) -> tuple[np.ndarray, np.ndar
     w = 1.0 / squares
     if not (np.all(w > 0.0) and np.all(np.isfinite(w))):
         raise ExactnessError(
-            f"the Gauss rule of {n} nodes for (gamma, alpha) = ({gamma:g}, {alpha:g}) "
+            f"the Gauss rule of {n} nodes for (gamma, alpha) = ({gamma!r}, {alpha!r}) "
             "has weights outside the float64 range"
         )
     return x, w
@@ -332,7 +332,7 @@ def _certified_nodes(a, b, mu0, gamma: float, alpha: float, n: int) -> np.ndarra
         if kept.all():
             return x
         if attempt == 1:
-            raise ExactnessError(f"no certified Gauss rule of {n} nodes for (gamma, alpha) = ({gamma:g}, {alpha:g})")
+            raise ExactnessError(f"no certified Gauss rule of {n} nodes for (gamma, alpha) = ({gamma!r}, {alpha!r})")
         # a zero with rank r has r zeros at or above it; the counts fall with x,
         # so the last separator with r zeros above it opens the gap that holds it
         missing = np.setdiff1d(np.arange(1, n + 1), above[:-1][kept])

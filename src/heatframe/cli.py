@@ -6,8 +6,10 @@ with sampling driven by one seeded generator.  The JSON document it writes
 is a pure function of the configuration, the numpy build and the BLAS
 thread count: identical configs produce byte-identical output under the
 same numpy and thread count.  Another thread count moves the roundoff of
-the BLAS products, and with it the last digits of fitted numbers; a test
-holds the check ids and pass flags of one verdict fixed between 1 and 2
+the BLAS products, and with it the last digits of some numbers (the band
+decomposition's residuals, a'); the Gaussian and Hoelder fits sample kernel
+entries summed without BLAS and do not move.  A test holds the check ids and
+pass flags of one verdict, and its fit reports, fixed between 1 and 2
 threads.  The ``kernel`` CSV has the same contract, since its table is one
 matrix product.  Exit codes: 0 when every asserted check passes, 1 when an
 asserted inequality fails, 2 for invalid configuration or an inadmissible

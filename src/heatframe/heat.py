@@ -17,11 +17,14 @@ blocks of the table's upper triangle and the semigroup defect come from it
 without the N x N table, and so does the integral operator
 H f(y) = integral of h_t(x, y) f(x) dmu(x): ``FactoredKernel.apply`` is the
 one place that forms V^T D V (w f), and the unit-mass (H 1 = 1) and
-eigenfunction-action checks, like the mapping bounds, go through it.  The
-dense table (``heat_kernel``) serves only the ``kernel`` CSV export, which
-writes all of it.  The table is symmetric bitwise, so its writer
-(``kernel_to_csv``) formats each mirrored pair once and reuses the string
-only between bitwise-equal entries.
+eigenfunction-action checks, like the mapping bounds, go through it.  Each
+sampled entry the fits read is its own sum over the kept rows, reduced by
+numpy in row order rather than by a BLAS product, so the fits do not depend
+on the BLAS thread count.  The dense table (``heat_kernel``), V^T D V
+symmetrised over the factored kernel's kept rows, serves only the
+``kernel`` CSV export, which writes all of it.  The table is symmetric
+bitwise, so its writer (``kernel_to_csv``) formats each mirrored pair once
+and reuses the string only between bitwise-equal entries.
 
 Two-sided Gaussian envelopes and the space Hoelder exponent are *fitted*
 rather than asserted: the fit reports the constants
@@ -43,7 +46,7 @@ import numpy as np
 
 from .errors import ContractError, DomainError, ExactnessError, SamplingError, TruncationWarning
 from .geometry import MetricMeasureSpace, ball_volumes_at_nodes
-from .jacobi import SpectralBasis, multiplier_table
+from .jacobi import SpectralBasis
 from .reporting import VerificationReport, make_report, open_output
 
 import warnings
@@ -62,28 +65,6 @@ def _row_slices(n: int) -> list[slice]:
     """Consecutive row ranges of an n-column table, _BLOCK_ENTRIES entries each."""
     rows = max(1, _BLOCK_ENTRIES // n)
     return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
-
-
-def _decay(basis: SpectralBasis, t: float) -> np.ndarray:
-    """exp(-beta_i t) over the basis; warns the caller of the kernel builder
-    if the spectral tail is not negligible at this t."""
-    if t <= 0.0:
-        raise DomainError("time must be positive")
-    decay = np.exp(-basis.eigenvalues * t)
-    tail = float(decay[-1])
-    if tail > TAIL_TOL:
-        warnings.warn(
-            f"spectral tail exp(-beta_N t) = {tail:.2e} exceeds {TAIL_TOL:.1e} at t = {t}",
-            TruncationWarning,
-            stacklevel=3,
-        )
-    return decay
-
-
-def heat_kernel(basis: SpectralBasis, t: float) -> np.ndarray:
-    """The symmetric table of h_t on all node pairs; warn if the spectral
-    tail is not negligible at this t."""
-    return multiplier_table(basis.values, _decay(basis, t))
 
 
 @dataclass(frozen=True)
@@ -115,17 +96,14 @@ class FactoredKernel:
         return ((self.space.weights * f) @ self.rows.T * self.decay) @ self.rows
 
     def entries(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """h_t(x_i, x_j) for aligned index arrays.
+        """h_t(x_i, x_j) for aligned index arrays, each as its own sum
+        sum_k decay_k rows[k, i] rows[k, j] over the kept rows.
 
-        The values are read from the table on the distinct nodes sampled, at
-        most 2 * pairs of them, built by the same arithmetic as the dense
-        table.  A per-pair dot product would sum in another order, and the
-        Gaussian fits, which regress on samples a few decades above the
-        roundoff floor, would drift with it.
+        The sums are one numpy reduction over k in row order, not a BLAS
+        product, so the values do not depend on the BLAS build or its
+        thread count.
         """
-        nodes, where = np.unique(np.concatenate([i, j]), return_inverse=True)
-        block = multiplier_table(self.rows[:, nodes], self.decay)
-        return block[where[: len(i)], where[len(i) :]]
+        return (self.rows[:, i] * self.rows[:, j] * self.decay[:, None]).sum(axis=0)
 
     def diagonal(self) -> np.ndarray:
         """h_t(x, x) at every node.  The kernel is positive semidefinite, so
@@ -154,10 +132,28 @@ class FactoredKernel:
 
 
 def factored_kernel(basis: SpectralBasis, t: float) -> FactoredKernel:
-    """The factored view of h_t, with the time and tail checks of heat_kernel."""
-    decay = _decay(basis, t)
+    """The factored view of h_t; warns its caller if the spectral tail
+    exp(-beta_N t) is not negligible at this t."""
+    if t <= 0.0:
+        raise DomainError("time must be positive")
+    decay = np.exp(-basis.eigenvalues * t)
+    tail = float(decay[-1])
+    if tail > TAIL_TOL:
+        warnings.warn(
+            f"spectral tail exp(-beta_N t) = {tail:.2e} exceeds {TAIL_TOL:.1e} at t = {t}",
+            TruncationWarning,
+            stacklevel=2,
+        )
     keep = int(np.flatnonzero(decay).max(initial=-1)) + 1
-    return FactoredKernel(space=basis.space, rows=basis.values[:keep], decay=decay[:keep], tail=float(decay[-1]))
+    return FactoredKernel(space=basis.space, rows=basis.values[:keep], decay=decay[:keep], tail=tail)
+
+
+def heat_kernel(basis: SpectralBasis, t: float) -> np.ndarray:
+    """The symmetric table of h_t on all node pairs, V^T D V symmetrised
+    over the factored kernel's kept rows; warns like ``factored_kernel``."""
+    kernel = factored_kernel(basis, t)
+    table = kernel.rows.T @ (kernel.decay[:, None] * kernel.rows)
+    return 0.5 * (table + table.T)
 
 
 def verify_markov(basis: SpectralBasis, t: float) -> VerificationReport:

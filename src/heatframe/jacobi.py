@@ -139,13 +139,6 @@ def synthesize(basis: SpectralBasis, coeffs: np.ndarray) -> np.ndarray:
     return coeffs @ basis.values
 
 
-def multiplier_table(rows: np.ndarray, multiplier: np.ndarray) -> np.ndarray:
-    """Symmetric table of sum_i m_i rows[i, x] rows[i, y] over the columns of
-    ``rows`` (basis values at some or all nodes)."""
-    table = rows.T @ (multiplier[:, None] * rows)
-    return 0.5 * (table + table.T)
-
-
 def _random_coefficients(
     basis: SpectralBasis, count: int, max_degree: int, rng: np.random.Generator
 ) -> np.ndarray:

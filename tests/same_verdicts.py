@@ -42,6 +42,13 @@ spaces of earlier ones, and a call that repeats the previous call's weight,
 nodes and degree reuses its bases.  Each of these warm records (exit code,
 stderr lines, warnings, document) must equal the call's cold record.
 
+Last, the change's tree runs the grid's ``verify`` calls once more, cold,
+with ``OPENBLAS_NUM_THREADS=1``, and the tool reports which check ids and
+JSON paths of those documents differ from its default-thread ones, with the
+thread variables of both runs.  This thread report never sets the exit
+status: roundoff in BLAS products may move a document's bytes with the
+thread count, and the report says where.
+
 The first line printed is the summary; ``--out`` writes the whole result as
 JSON.  The exit status is 1 when an exit code or a pass flag moved, a
 verdict's list of check ids changed, or a warm record differs from its cold
@@ -81,6 +88,10 @@ UNDERFLOW_CALLS = (
     ("verify", "--sigma", "300"),
     ("verify", "--nodes", "30", "--degree", "29", "--k-override", "150"),
 )
+
+# the thread axis: the variables reported, and the one-thread run's setting
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1"}
 
 _STDERR_PREFIXES = ("error:", "FAILED")
 _REPORT_NUMBERS = ("lhs", "rhs", "margin")
@@ -193,10 +204,11 @@ def _child() -> int:
     return 0
 
 
-def run_tree(root: Path, calls: list[list[str]], cold: bool = True) -> list[dict]:
-    """Each call's record, from one fresh interpreter on ``root/src``; with
-    ``cold`` each call starts from an empty space memo."""
-    env = dict(os.environ, PYTHONPATH=str(Path(root).resolve() / "src"))
+def run_tree(root: Path, calls: list[list[str]], cold: bool = True, extra: dict[str, str] | None = None) -> list[dict]:
+    """Each call's record, from one fresh interpreter on ``root/src`` with the
+    ``extra`` environment variables; with ``cold`` each call starts from an
+    empty space memo."""
+    env = dict(os.environ, PYTHONPATH=str(Path(root).resolve() / "src"), **(extra or {}))
     with tempfile.TemporaryDirectory() as cwd:
         done = subprocess.run(
             [sys.executable, str(Path(__file__).resolve()), "--child"],
@@ -324,6 +336,62 @@ def compare(calls: list[list[str]], base: list[dict], change: list[dict], warm: 
     return result
 
 
+def compare_threads(calls: list[list[str]], default: list[dict], one_thread: list[dict], variables: dict) -> dict:
+    """Where the records of the ``verify`` calls run at one BLAS thread
+    differ from the same tree's default-thread records: the calls whose exit
+    code, stderr lines or warnings moved, and per check id and per JSON path
+    (list indices written ``[]``) the calls whose documents differ there.
+    ``variables`` holds each run's thread variables, for the report."""
+    result: dict = {
+        "variables": variables,
+        "calls": len(default),
+        "identical_documents": 0,
+        "records_moved": [],
+        "check_ids": {},
+        "paths": {},
+    }
+    for argv, old, new in zip(verify_calls(calls), default, one_thread):
+        label = " ".join(argv)
+        if any(old.get(key) != new.get(key) for key, _ in _RECORD_FIELDS):
+            result["records_moved"].append(label)
+        if old.get("document") == new.get("document"):
+            result["identical_documents"] += 1
+            continue
+        old_doc, new_doc = (json.loads(r["document"]) if "document" in r else {} for r in (old, new))
+        old_reports, new_reports = old_doc.get("reports", []), new_doc.get("reports", [])
+        if [r["check_id"] for r in old_reports] == [r["check_id"] for r in new_reports]:
+            moved_ids = {x["check_id"] for x, y in zip(old_reports, new_reports) if x != y}
+            for check_id in moved_ids:
+                result["check_ids"][check_id] = result["check_ids"].get(check_id, 0) + 1
+        for path, x, y in _leaf_diffs(old_doc, new_doc):
+            entry = result["paths"].setdefault(path, {"calls": [], "max_drift": 0.0})
+            if label not in entry["calls"]:
+                entry["calls"].append(label)
+            entry["max_drift"] = max(entry["max_drift"], _drift(x, y))
+    return result
+
+
+def thread_variables(extra: dict[str, str]) -> dict[str, str | None]:
+    """THREAD_VARIABLES as a tree's interpreter sees them, with ``extra`` set."""
+    env = {**os.environ, **extra}
+    return {name: env.get(name) for name in THREAD_VARIABLES}
+
+
+def thread_lines(threads: dict) -> list[str]:
+    """The thread report: one summary line, then one line per check id and
+    per JSON path that moved."""
+    variables = "; ".join(f"{run}: {json.dumps(env, sort_keys=True)}" for run, env in threads["variables"].items())
+    lines = [
+        f"threads: {threads['identical_documents']} of {threads['calls']} verify documents byte-identical "
+        f"at one BLAS thread, {len(threads['records_moved'])} other records moved ({variables})"
+    ]
+    lines += [f"threads records_moved: {label}" for label in threads["records_moved"]]
+    lines += [f"threads check {check_id}: {count} calls" for check_id, count in sorted(threads["check_ids"].items())]
+    for path, entry in sorted(threads["paths"].items()):
+        lines.append(f"threads path {path}: {len(entry['calls'])} calls, largest drift {entry['max_drift']:.2e}")
+    return lines
+
+
 def status(result: dict) -> int:
     """1 when an exit code or a pass flag moved, a verdict's ids changed, or a
     warm record differs from its cold one."""
@@ -377,8 +445,12 @@ def main(argv: list[str] | None = None) -> int:
     base = run_tree(args.base, calls)
     change = run_tree(args.change, calls)
     result = compare(calls, base, change, run_tree(args.change, verify_calls(calls), cold=False))
+    default = [record for argv, record in zip(calls, change) if argv[0] == "verify"]
+    variables = {"default": thread_variables({}), "one_thread": thread_variables(ONE_THREAD)}
+    one_thread = run_tree(args.change, verify_calls(calls), extra=ONE_THREAD)
+    threads = result["threads"] = compare_threads(calls, default, one_thread, variables)
     print(summary(result))
-    for line in details(result):
+    for line in details(result) + thread_lines(threads):
         print(line)
     if args.out:
         args.out.write_text(json.dumps(dict(result, grid=calls), indent=1) + "\n", encoding="utf-8")

@@ -498,8 +498,19 @@ def test_rule_outside_the_float_range_ends_in_one_error_line_naming_it(command, 
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.splitlines() == [
-        "error: the Gauss rule of 1024 nodes for (gamma, alpha) = (200, 200) has weights outside the float64 range"
+        "error: the Gauss rule of 1024 nodes for (gamma, alpha) = (200.0, 200.0) has weights outside the float64 range"
     ]
+
+
+def test_a_gauss_rule_error_names_the_weight_as_given(tmp_path, capsys):
+    # a weight just below 200 must not be printed as 200
+    argv = ["net", "--gamma", "199.9999999", "--alpha", "200", "--nodes", "1024", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the Gauss rule of 1024 nodes for (gamma, alpha) = (199.9999999, 200.0) "
+        "has weights outside the float64 range"
+    ]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -541,7 +552,9 @@ def test_the_program_never_imports_scipy():
 
 def test_the_verdict_does_not_depend_on_the_blas_thread_count():
     # The bytes may differ (roundoff in the BLAS products); the check ids,
-    # their pass flags and the gate may not.
+    # their pass flags and the gate may not.  The Gaussian and Hoelder fits
+    # read sampled kernel entries summed without BLAS, so their reports
+    # (lhs, rhs, margin and context) are equal to the bit.
     src = str(Path(__file__).resolve().parent.parent / "src")
     argv = [sys.executable, "-m", "heatframe.cli", "verify", "--nodes", "256", "--degree", "204", "--seed", "3"]
     verdicts = []
@@ -554,11 +567,13 @@ def test_the_verdict_does_not_depend_on_the_blas_thread_count():
         done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
         assert done.returncode == 0, done.stderr
         document = json.loads(done.stdout)
+        fits = [r for r in document["reports"] if r["check_id"].startswith(("gauss.", "holder."))]
         verdicts.append(
-            ([(r["check_id"], r["passed"]) for r in document["reports"]], document["gated_passed"])
+            ([(r["check_id"], r["passed"]) for r in document["reports"]], document["gated_passed"], fits)
         )
     assert verdicts[0] == verdicts[1]
     assert verdicts[0][1] is True
+    assert len(verdicts[0][2]) == 4
 
 
 WEIGHT_EXPONENTS = st.floats(-1.0, 200.0, exclude_min=True, allow_nan=False)

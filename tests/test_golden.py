@@ -20,9 +20,12 @@ ASSERTED_RTOL = 1e-12
 # flag carries information.
 ROUNDOFF_FRACTION = 1e-4
 # Fitted ids regress on sampled kernel values or compare two such fits.  A
-# change of summation order in the samples alone has moved them by up to
-# 2e-6 relative, and the Hoelder constant K_H by 1.5e-5; the stability drifts
-# are differences of two fits, so they also get an absolute allowance.
+# change of summation order in the samples alone (per-pair sums in place of
+# a table on the sampled nodes) moved the stored holder.fit numbers by up to
+# 1.4e-6 relative, and the fitted contexts behind them (K, K_H) by up to
+# 8e-4.  The stability drifts are differences of two fits, so they also get
+# an absolute allowance; they moved by up to 4.7e-5 relative (2.2e-6
+# absolute), past both tolerances, and the goldens were rewritten.
 FIT_RTOL = 3e-5
 FIT_ATOL = 1e-9
 

@@ -280,7 +280,7 @@ def test_bracketed_rule_keeps_linear_memory(monkeypatch):
 
 
 def test_rule_outside_the_float_range_names_its_parameters():
-    with pytest.raises(ExactnessError, match=r"1024 nodes for \(gamma, alpha\) = \(200, 200\)"):
+    with pytest.raises(ExactnessError, match=r"1024 nodes for \(gamma, alpha\) = \(200\.0, 200\.0\)"):
         gauss_nodes(200.0, 200.0, 1024)
 
 

@@ -1,8 +1,10 @@
 """The same-verdict comparer: a tree against its own copy differs nowhere, a
 tolerance scaled by 1e-6 in a copy moves pass flags and the tool's exit
-status with them, and a copy whose verdicts read the space memo's state
-differs between its warm and cold runs."""
+status with them, a copy whose verdicts read the space memo's state
+differs between its warm and cold runs, and the thread report names the
+check ids and paths where one-thread documents differ."""
 
+import json
 import shutil
 from pathlib import Path
 
@@ -104,3 +106,37 @@ def test_a_scaled_tolerance_moves_pass_flags(base, tmp_path):
     for check in stability:
         assert result["checks"][check]["rhs"] > 0.99  # the tolerance is its rhs
     assert "pass flags 6 moved" in same_verdicts.summary(result)
+
+
+def _record(K: float, exit_code: int = 0) -> dict:
+    report = {"check_id": "gauss.fit", "passed": True, "lhs": 0.0, "rhs": 0.0, "margin": 0.0, "context": {"K": K}}
+    markov = {"check_id": "markov", "passed": True, "lhs": 1e-15, "rhs": 1e-8, "margin": 1e-8, "context": {}}
+    document = {"reports": [report, markov], "summary": [{"check_id": "gauss.fit", "worst_context": {"K": K}}]}
+    return {"exit": exit_code, "stderr": [], "warnings": [], "document": json.dumps(document)}
+
+
+def test_the_thread_report_names_the_ids_and_paths_that_moved():
+    # synthetic records: the first verify call's fit moves at one thread, the
+    # second call's exit code moves, and the net call between them is skipped
+    calls = [["verify"], ["net"], ["verify", "--seed", "1"]]
+    default = [_record(1.0), _record(2.0)]
+    one_thread = [_record(1.0 + 1e-12), _record(2.0, exit_code=1)]
+    variables = {"default": {"OPENBLAS_NUM_THREADS": None}, "one_thread": {"OPENBLAS_NUM_THREADS": "1"}}
+    threads = same_verdicts.compare_threads(calls, default, one_thread, variables)
+    assert threads["calls"] == 2 and threads["identical_documents"] == 1
+    assert threads["records_moved"] == ["verify --seed 1"]
+    assert threads["check_ids"] == {"gauss.fit": 1}
+    assert sorted(threads["paths"]) == ["reports[].context.K", "summary[].worst_context.K"]
+    for entry in threads["paths"].values():
+        assert entry["calls"] == ["verify"]
+        assert entry["max_drift"] == pytest.approx(1e-12, rel=1e-3)
+    lines = same_verdicts.thread_lines(threads)
+    assert lines[0] == (
+        "threads: 1 of 2 verify documents byte-identical at one BLAS thread, 1 other records moved "
+        '(default: {"OPENBLAS_NUM_THREADS": null}; one_thread: {"OPENBLAS_NUM_THREADS": "1"})'
+    )
+    assert "threads check gauss.fit: 1 calls" in lines
+    # a report only: the comparer's exit status does not read it
+    records = [_record(1.0), {"exit": 0, "stderr": [], "warnings": []}, _record(2.0)]
+    result = same_verdicts.compare(calls, records, records, default)
+    assert same_verdicts.status(dict(result, threads=threads)) == 0
